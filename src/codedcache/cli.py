@@ -9,8 +9,6 @@ Exit codes: 0 success, 2 usage/validation error, 3 verification failure,
 4 resource limit exceeded.  Every file output gets a sibling
 ``<name>.manifest.json`` recording how it was produced.  Outputs are
 deterministic for a given config and seed, except manifest timestamps.
-The ``CODEDCACHE_THREADS`` environment variable sets the worker count
-for probability sweeps; results are assembled in grid order regardless.
 """
 
 from __future__ import annotations
@@ -18,9 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,17 +38,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_LIMIT = 4
-
-
-def _threads() -> int:
-    raw = os.environ.get("CODEDCACHE_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ValidationError(f"CODEDCACHE_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ValidationError(f"CODEDCACHE_THREADS must be >= 1, got {n}")
-    return n
 
 
 def _write_manifest(out_path: Path, command: str, config: str, seed=None, outputs=None) -> None:
@@ -176,13 +161,7 @@ def cmd_rates(args) -> int:
         closed = {"alpha": rate_alpha_closed, "beta": rate_beta_closed}
         curves = []
         for name in strategies:
-            fn = closed[name]
-            workers = _threads()
-            if workers > 1:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    ys = list(pool.map(fn, grid))
-            else:
-                ys = [fn(p) for p in grid]
+            ys = [closed[name](p) for p in grid]
             curves.append(RateCurve(f"R_{name}", "p", tuple(zip(grid, ys))))
     else:
         envelopes = {}

@@ -23,10 +23,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
-from .combinatorics import SubfileIndex, enumerate_indices, index_rank
+from .combinatorics import SubfileIndex, _rank_table, _users_from_mask, enumerate_indices
 from .errors import BudgetExceededError, UnsupportedConfigError, ValidationError
 from .gf2 import GF2Basis
 from .placement import CacheState, place_beta, toy_config
@@ -72,9 +72,18 @@ class DeliverySchedule:
         return len(self.messages)
 
 
-def message_size(cache: CacheState, message: DeliveryMessage) -> Fraction:
-    """Size of one message in file units; all summands must be equal-size."""
-    sizes = {cache.subpacketization(f) for f, _ in message.summands}
+def _piece_counts(cache: CacheState) -> list[int]:
+    """Sub-packetization of every file, indexed by ``file - 1``."""
+    return [cache.subpacketization(f) for f in range(1, cache.num_files + 1)]
+
+
+def _message_size(counts: Sequence[int], message: DeliveryMessage) -> Fraction:
+    """Size of one message in file units, given each file's piece count;
+    all summands must be equal-size."""
+    for f, _ in message.summands:
+        if not 1 <= f <= len(counts):
+            raise ValidationError(f"file {f} outside [1, {len(counts)}]")
+    sizes = {counts[f - 1] for f, _ in message.summands}
     if len(sizes) != 1:
         raise ValidationError(
             "message mixes pieces of different sizes; XOR across unequal "
@@ -85,7 +94,8 @@ def message_size(cache: CacheState, message: DeliveryMessage) -> Fraction:
 
 def make_schedule(cache: CacheState, messages) -> DeliverySchedule:
     msgs = tuple(messages)
-    rate = sum((message_size(cache, m) for m in msgs), Fraction(0))
+    counts = _piece_counts(cache)
+    rate = sum((_message_size(counts, m) for m in msgs), Fraction(0))
     return DeliverySchedule(msgs, rate)
 
 
@@ -137,23 +147,21 @@ def needed_map(cache: CacheState, demand) -> dict[int, frozenset[Pair]]:
 
 
 class _ColumnLayout:
-    """One GF(2) column per (file, piece-rank) pair of a cache state."""
+    """One GF(2) column per (file, piece-rank) pair of a cache state.
+
+    Ranks come from one ``masks -> rank`` table per file, so a lookup is a
+    dict access; a piece outside the placement has no column.
+    """
 
     def __init__(self, cache: CacheState) -> None:
-        self.cache = cache
-        self.offsets = []
-        at = 0
-        for file in range(1, cache.num_files + 1):
-            self.offsets.append(at)
-            at += cache.subpacketization(file)
-        self.width = at
+        self.ranks = [_rank_table(cache.users, tuple(space)) for space in cache.spaces]
+        self.counts = [len(table) for table in self.ranks]
+        self.offsets = [sum(self.counts[:i]) for i in range(len(self.counts))]
 
     def column(self, file: int, idx: SubfileIndex) -> int:
-        space = self.cache.spaces[file - 1]
-        try:
-            rank = index_rank(idx, self.cache.users, space)
-        except (ValidationError, KeyError) as exc:
-            raise ValidationError(f"unknown piece {idx} for file {file}") from exc
+        rank = self.ranks[file - 1].get(idx.masks)
+        if rank is None:
+            raise ValidationError(f"unknown piece {idx} for file {file}")
         return self.offsets[file - 1] + rank
 
     def unit(self, file: int, idx: SubfileIndex) -> int:
@@ -191,14 +199,22 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
 
     Returns a report whose truth value is the verdict; on success each
     needed piece carries the exact combination of cached pieces and
-    broadcast messages that reconstructs it.
+    broadcast messages that reconstructs it.  Raises
+    :class:`ValidationError` for a malformed schedule: a summand outside
+    the placement, a message mixing piece sizes, or a claimed rate that is
+    not the sum of the message sizes.
     """
     dem = normalize_demand(cache, demand)
     layout = _ColumnLayout(cache)
     vectors = []
+    total = Fraction(0)
     for m in schedule.messages:
-        message_size(cache, m)
+        total += _message_size(layout.counts, m)
         vectors.append(layout.vector(m))
+    if total != schedule.rate:
+        raise ValidationError(
+            f"schedule claims rate {schedule.rate}, but its messages sum to {total}"
+        )
 
     certificates: dict[int, dict[Pair, Certificate]] = {}
     missing: dict[int, tuple[Pair, ...]] = {}
@@ -276,13 +292,20 @@ def toy_cache() -> CacheState:
     return place_beta(toy_config())
 
 
-def toy_schedule(demand) -> DeliverySchedule:
+def toy_schedule(demand, cache: CacheState | None = None) -> DeliverySchedule:
     """The tabulated schedule for the 3-user / 2-file setup with chains (2, 1).
 
     Demands that are permutations of a tabulated one are served by the
     relabeled table entry: users are renamed with the stable sort that
-    orders the demand ascending by file id.
+    orders the demand ascending by file id.  The table is only valid on
+    the reference placement :func:`toy_cache`; a `cache` that differs
+    from it raises :class:`UnsupportedConfigError`.
     """
+    if cache is not None and cache != toy_cache():
+        raise UnsupportedConfigError(
+            "the tabulated schedule needs the reference placement: "
+            "3 users, 2 files, strategy beta with r = (2, 1)"
+        )
     vec = tuple(demand)
     if len(vec) != 3 or any(f not in (1, 2) for f in vec):
         raise UnsupportedConfigError(
@@ -300,6 +323,110 @@ def toy_schedule(demand) -> DeliverySchedule:
 
 
 # ---------------------------------------------------------------------------
+# Clique index shared by the greedy and exhaustive schedulers
+# ---------------------------------------------------------------------------
+
+# A piece as its sort key ``(file, masks)``: hashes and compares as a
+# plain tuple, in the same order as :func:`_pair_key`.
+Key = tuple[int, tuple[int, ...]]
+# Piece size -> per group member, the member's buckets that fit the group.
+Slots = dict[int, list[list[list[Key]]]]
+
+
+class _CliqueIndex:
+    """Each user's uncovered pieces, bucketed by (piece size, holder mask).
+
+    A piece's holder mask has bit ``k - 1`` set iff user ``k`` caches it;
+    the masks are read once from ``CacheState.entries``.  Every bucket is
+    a list in ascending key order, so its head is its minimum.  A group
+    ``G`` has a slot for member ``k`` iff one of ``k``'s buckets has a mask
+    containing ``G - {k}``: every piece in that bucket is needed by ``k``
+    and cached by all the other members.
+    """
+
+    def __init__(self, cache: CacheState, needs: Mapping[int, frozenset[Pair]]) -> None:
+        self.counts = _piece_counts(cache)
+        self.pairs: dict[Key, Pair] = {
+            _pair_key(pair): pair for pieces in needs.values() for pair in pieces
+        }
+        self.holders = dict.fromkeys(self.pairs, 0)
+        for k, entries in enumerate(cache.entries):
+            for f, idx in entries:
+                key = (f, idx.masks)
+                if key in self.holders:
+                    self.holders[key] |= 1 << k
+        self.buckets: dict[int, dict[tuple[int, int], list[Key]]] = {}
+        for k, pieces in sorted(needs.items()):
+            by_bucket: dict[tuple[int, int], list[Key]] = {}
+            for key in sorted(_pair_key(pair) for pair in pieces):
+                by_bucket.setdefault(self._bucket(key), []).append(key)
+            if by_bucket:
+                self.buckets[k] = by_bucket
+        # cliques() per group size; valid until a bucket empties, since
+        # the buckets are live lists whose heads the callers read
+        self._cliques: dict[int, list[Slots]] = {}
+
+    def _bucket(self, key: Key) -> tuple[int, int]:
+        return (self.counts[key[0] - 1], self.holders[key])
+
+    def cliques(self, size: int) -> list[Slots]:
+        """The slots of every group of `size` users with a slot for each
+        member, in :func:`itertools.combinations` order of the groups.
+
+        A group's slots map each piece size that every member can fill to
+        the members' lists of fitting buckets.  Groups are generated from
+        the buckets' masks instead of testing all ``C(K, size)`` of them,
+        so the cost is bounded by the number of distinct holder masks, not
+        by S.
+        """
+        if size in self._cliques:
+            return self._cliques[size]
+        active = sum(1 << (k - 1) for k in self.buckets)
+        cover: dict[int, list[tuple[int, int, list[Key]]]] = {}
+        for k, by_bucket in self.buckets.items():
+            bit = 1 << (k - 1)
+            for (s, mask), bucket in by_bucket.items():
+                others = [1 << (j - 1) for j in _users_from_mask(mask & active)]
+                for rest in itertools.combinations(others, size - 1):
+                    cover.setdefault(bit + sum(rest), []).append((k, s, bucket))
+        found: dict[tuple[int, ...], Slots] = {}
+        for group_mask, fits in cover.items():
+            if len(fits) < size:
+                continue
+            group = _users_from_mask(group_mask)
+            by_member: dict[int, dict[int, list[list[Key]]]] = {k: {} for k in group}
+            for k, s, bucket in fits:
+                by_member[k].setdefault(s, []).append(bucket)
+            # summands of one XOR must be equal-size pieces
+            common = set.intersection(*(set(sizes) for sizes in by_member.values()))
+            if common:
+                found[group] = {s: [by_member[k][s] for k in group] for s in sorted(common)}
+        self._cliques[size] = [found[group] for group in sorted(found)]
+        return self._cliques[size]
+
+    def send(self, body: Sequence[Key]) -> None:
+        """Drop what one message delivers: each user that caches all
+        summands but one decodes that one, if it still needs it."""
+        for k in list(self.buckets):
+            bit = 1 << (k - 1)
+            lacking = [key for key in body if not self.holders[key] & bit]
+            if len(lacking) != 1:
+                continue
+            [key] = lacking
+            by_bucket = self.buckets[k]
+            where = self._bucket(key)
+            bucket = by_bucket.get(where)
+            if bucket is None or key not in bucket:
+                continue
+            bucket.remove(key)
+            if not bucket:
+                self._cliques.clear()
+                del by_bucket[where]
+                if not by_bucket:
+                    del self.buckets[k]
+
+
+# ---------------------------------------------------------------------------
 # Greedy scheduler
 # ---------------------------------------------------------------------------
 
@@ -311,7 +438,10 @@ def greedy_schedule(cache: CacheState, demand) -> DeliverySchedule:
 
     1. clique pass - repeatedly broadcast the largest XOR group in which
        every summand is needed by one participant and cached by all the
-       others; ties broken toward the lowest (file, rank) summands;
+       others; ties broken toward the lowest (file, rank) summands.  The
+       pass works on a bucket index of the uncovered pieces (see
+       :func:`_clique_pass`), so its cost per message grows with the
+       number of distinct holder masks, not with the sub-packetization S;
     2. regular pass - per requested file, if every piece is cached by
        the same number ``t`` of users and the ``t``-subsets cover evenly
        (true for both placement strategies), send the standard
@@ -326,60 +456,32 @@ def greedy_schedule(cache: CacheState, demand) -> DeliverySchedule:
 
 
 def _clique_pass(cache: CacheState, needs: Mapping[int, frozenset[Pair]]) -> DeliverySchedule:
-    uncovered: dict[int, set[Pair]] = {k: set(v) for k, v in needs.items() if v}
+    """Greedy cover of `needs` by clique messages, largest group first.
+
+    The uncovered pieces sit in a :class:`_CliqueIndex` built once per
+    call.  A member's cheapest summand for a group is the least head among
+    its fitting buckets, and the message is the least sorted tuple of such
+    heads over all groups of the largest size that has one; sending it
+    removes the pieces it delivers from the buckets.  Finding the groups
+    costs time in the number of buckets (distinct holder masks per user),
+    not in S, and is redone only when a bucket empties; in between, a
+    message costs one head comparison per slot.
+    """
+    index = _CliqueIndex(cache, needs)
     messages: list[DeliveryMessage] = []
-    while uncovered:
-        users = sorted(uncovered)
-        chosen: tuple[Pair, ...] | None = None
-        for size in range(len(users), 0, -1):
-            best: tuple[Pair, ...] | None = None
-            for group in itertools.combinations(users, size):
-                slots = []
-                for k in group:
-                    opts = [
-                        pair
-                        for pair in uncovered[k]
-                        if all(pair in cache.user_cache(j) for j in group if j != k)
-                    ]
-                    if not opts:
-                        break
-                    slots.append(opts)
-                else:
-                    # summands of one XOR must be equal-size pieces
-                    common = set.intersection(
-                        *({cache.subpacketization(p[0]) for p in opts} for opts in slots)
-                    )
-                    for s in common:
-                        candidate = tuple(
-                            sorted(
-                                (
-                                    min(
-                                        (p for p in opts if cache.subpacketization(p[0]) == s),
-                                        key=_pair_key,
-                                    )
-                                    for opts in slots
-                                ),
-                                key=_pair_key,
-                            )
-                        )
-                        if best is None or [_pair_key(p) for p in candidate] < [
-                            _pair_key(p) for p in best
-                        ]:
-                            best = candidate
-            if best is not None:
-                chosen = best
-                break
-        assert chosen is not None  # singletons always exist
-        msg = DeliveryMessage.build(chosen)
-        body = set(msg.summands)
-        for k in list(uncovered):
-            rest = {p for p in body}
-            for pair in body & uncovered[k]:
-                if all(q in cache.user_cache(k) for q in rest - {pair}):
-                    uncovered[k].discard(pair)
-            if not uncovered[k]:
-                del uncovered[k]
-        messages.append(msg)
+    size = len(index.buckets)
+    while index.buckets:
+        # Covering pieces only takes slots away, so the largest group size
+        # with a clique never grows from one message to the next.
+        while not (found := index.cliques(size)):
+            size -= 1
+        best = min(
+            sorted(min(b[0] for b in buckets) for buckets in members)
+            for slots in found
+            for members in slots.values()
+        )
+        index.send(best)
+        messages.append(DeliveryMessage.build(index.pairs[key] for key in best))
     return make_schedule(cache, messages)
 
 
@@ -437,44 +539,20 @@ def _candidate_messages(
 ) -> list[DeliveryMessage]:
     """Clique-style candidate family: every summand is needed by one
     participating user and cached by all the other participants."""
-    users = sorted(k for k, v in needs.items() if v)
-    out: set[tuple[Pair, ...]] = set()
-    for size in range(1, min(len(users), max_summands) + 1):
-        for group in itertools.combinations(users, size):
-            slots: list[list[Pair]] = []
-            for k in group:
-                opts = sorted(
-                    (
-                        pair
-                        for pair in needs[k]
-                        if all(pair in cache.user_cache(j) for j in group if j != k)
-                    ),
-                    key=_pair_key,
-                )
-                if not opts:
-                    break
-                slots.append(opts)
-            else:
-                # summands of one XOR must be equal-size pieces
-                common = set.intersection(
-                    *({cache.subpacketization(p[0]) for p in opts} for opts in slots)
-                )
-                for s in sorted(common):
-                    restricted = [
-                        [p for p in opts if cache.subpacketization(p[0]) == s]
-                        for opts in slots
-                    ]
-                    total = 1
-                    for opts in restricted:
-                        total *= len(opts)
-                    if len(out) + total > _CANDIDATE_CAP:
-                        raise BudgetExceededError(
-                            f"candidate message family exceeds {_CANDIDATE_CAP}"
-                        )
-                    for combo in itertools.product(*restricted):
-                        out.add(tuple(sorted(combo, key=_pair_key)))
-    ordered = sorted(out, key=lambda pairs: [_pair_key(p) for p in pairs])
-    return [DeliveryMessage(pairs) for pairs in ordered]
+    index = _CliqueIndex(cache, needs)
+    out: set[tuple[Key, ...]] = set()
+    for size in range(1, min(len(index.buckets), max_summands) + 1):
+        for slots in index.cliques(size):
+            for members in slots.values():
+                restricted = [sorted(itertools.chain.from_iterable(b)) for b in members]
+                total = prod(len(opts) for opts in restricted)
+                if len(out) + total > _CANDIDATE_CAP:
+                    raise BudgetExceededError(
+                        f"candidate message family exceeds {_CANDIDATE_CAP}"
+                    )
+                for combo in itertools.product(*restricted):
+                    out.add(tuple(sorted(combo)))
+    return [DeliveryMessage(tuple(index.pairs[key] for key in keys)) for keys in sorted(out)]
 
 
 def exhaustive_schedule(
@@ -577,7 +655,7 @@ def exhaustive_schedule(
 Scheduler = Callable[[CacheState, object], DeliverySchedule]
 
 SCHEDULERS: dict[str, Scheduler] = {
-    "toy": lambda cache, demand: toy_schedule(demand),
+    "toy": lambda cache, demand: toy_schedule(demand, cache),
     "greedy": greedy_schedule,
     "exhaustive": lambda cache, demand: exhaustive_schedule(cache, demand),
 }

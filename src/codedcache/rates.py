@@ -21,11 +21,12 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import bisect, minimize_scalar
 
-from .delivery import DeliverySchedule, Scheduler, exhaustive_schedule
+from .delivery import Scheduler, exhaustive_schedule
 from .errors import LimitExceededError, ValidationError
 from .placement import (
     CacheState,
     PlacementConfig,
+    _normalize_popularity,
     make_config,
     place,
     place_alpha,
@@ -68,10 +69,18 @@ def expected_rate_exact(
 ):
     """Exact expected rate of `scheduler` on the placement of `cfg`.
 
-    With ``symmetric=True`` (the scheduler is permutation-equivariant,
-    true for all shipped schedulers) demand vectors are grouped by
-    multiset, shrinking the enumeration from ``N**K`` to the number of
-    multisets.  Exact rational popularity gives an exact rational result.
+    With ``symmetric=True`` demand vectors are grouped by multiset and
+    each multiset is rated at its sorted representative, shrinking the
+    enumeration from ``N**K`` to the number of multisets.  That is the
+    scheduler's own expectation only if relabeling the users never
+    changes its rate.  The exhaustive scheduler's rate on ``beta``
+    placements never changes: every piece has one size, so the rate is a
+    minimum message count.  The greedy scheduler's can: at K = 5,
+    r = (3, 2) the demand (1, 2, 1, 2, 2) costs 9/10 and (2, 1, 2, 2, 1)
+    costs 14/15.  For such a scheduler the result is the expected rate of
+    scheduling the sorted demand and relabeling the users back, which
+    both placements allow; ``symmetric=False`` gives its own expectation.
+    Exact rational popularity gives an exact rational result.
     """
     n, k = cfg.num_files, cfg.users
     if n**k > limit:
@@ -87,19 +96,14 @@ def expected_rate_exact(
             prob = _probability(cfg.popularity, counts, exact)
             if prob == 0:
                 continue
-            total += weight * prob * _sched_rate(scheduler(cache, rep))
+            total += weight * prob * scheduler(cache, rep).rate
     else:
         for vec in itertools.product(range(1, n + 1), repeat=k):
             prob = _probability(cfg.popularity, Counter(vec), exact)
             if prob == 0:
                 continue
-            total += prob * _sched_rate(scheduler(cache, vec))
+            total += prob * scheduler(cache, vec).rate
     return total
-
-
-def _sched_rate(result) -> Fraction:
-    """Schedulers may return a schedule or a bare rate."""
-    return result.rate if isinstance(result, DeliverySchedule) else result
 
 
 @dataclass(frozen=True)
@@ -117,7 +121,9 @@ def expected_rate_mc(
     """Unbiased Monte Carlo estimate of the expected rate.
 
     Deterministic for a fixed seed.  Distinct demand multisets are rated
-    once and reused across samples.
+    once, at their sorted representative, and reused across samples; see
+    :func:`expected_rate_exact` for what that means for a scheduler whose
+    rate depends on user labels.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
@@ -130,7 +136,7 @@ def expected_rate_mc(
     uniq, counts = np.unique(keys, axis=0, return_counts=True)
     cache = place(cfg)
     rates = np.array(
-        [float(_sched_rate(scheduler(cache, tuple(int(x) for x in row)))) for row in uniq]
+        [float(scheduler(cache, tuple(int(x) for x in row)).rate) for row in uniq]
     )
     mean = float((counts * rates).sum() / samples)
     if samples > 1:
@@ -348,8 +354,6 @@ def alpha_expected_rate(
     """
     if len(sizes) != len(memories):
         raise ValidationError("sizes and memories must have the same length")
-    from .placement import _normalize_popularity  # shared validation
-
     pop = _normalize_popularity(popularity)
     n = len(pop)
     if sum(sizes) != n:
@@ -376,7 +380,7 @@ def alpha_expected_rate(
             if scheduler is None:
                 rate_memo[key] = classic_rate(users, t, len(set(local_demand.values())))
             else:
-                rate_memo[key] = _sched_rate(scheduler(piece_caches[(gi, t)], local_demand))
+                rate_memo[key] = scheduler(piece_caches[(gi, t)], local_demand).rate
         return rate_memo[key]
 
     exact = all(isinstance(p, Fraction) for p in pop)
@@ -451,8 +455,6 @@ def alpha_points(
 ) -> tuple[RatePoint, ...]:
     """Achievable points of the grouping baseline: every contiguous
     grouping of the file list with every integer cache level per group."""
-    from .placement import _normalize_popularity
-
     pop = _normalize_popularity(popularity)
     n = len(pop)
     out = []

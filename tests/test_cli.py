@@ -68,6 +68,21 @@ def test_deliver_toy_demand(toy_path, tmp_path):
     assert data["verified"] is True
 
 
+@pytest.mark.parametrize(
+    "strategy, r", [("beta", (3, 0)), ("alpha", (2, 1))], ids=["beta-r30", "alpha-r21"]
+)
+@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["plain", "verify"])
+def test_deliver_toy_on_other_placement_exits_2(tmp_path, capsys, strategy, r, verify):
+    cfg = dict(TOY, strategy=strategy, groups=[{"size": 1, "r": r[0]}, {"size": 1, "r": r[1]}])
+    path = tmp_path / "other.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ["deliver", str(path), "--demand", "1,1,2", "--scheduler", "toy", *verify]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "reference placement" in captured.err
+    assert captured.out == ""
+
+
 def test_deliver_letters_and_numbers_agree(toy_path, tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert main(["deliver", str(toy_path), "--demand", "A,B,B", "--scheduler", "toy", "--out", str(out1)]) == 0
@@ -139,17 +154,6 @@ def test_rates_m_sweep_reproduces_unit_cache_point(toy_path, tmp_path):
     assert float(at_one["R_alpha"]) == pytest.approx(1 - p**3, abs=1e-9)
     ms = [float(r["M"]) for r in rows]
     assert ms == sorted(ms) and ms[0] == 0.0 and ms[-1] == 2.0
-
-
-def test_rates_thread_override_keeps_output_identical(toy_path, tmp_path, monkeypatch):
-    one = tmp_path / "one.csv"
-    many = tmp_path / "many.csv"
-    assert main(["rates", str(toy_path), "--p-grid", "0.5:1.0:0.05", "--csv", str(one)]) == 0
-    monkeypatch.setenv("CODEDCACHE_THREADS", "4")
-    assert main(["rates", str(toy_path), "--p-grid", "0.5:1.0:0.05", "--csv", str(many)]) == 0
-    assert one.read_text() == many.read_text()
-    monkeypatch.setenv("CODEDCACHE_THREADS", "zero")
-    assert main(["rates", str(toy_path), "--p-grid", "1.0"]) == 2
 
 
 def test_reruns_byte_identical_except_manifest_timestamp(toy_path, tmp_path):

@@ -1,10 +1,15 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codedcache import (
+    SCHEDULERS,
     BudgetExceededError,
     DeliveryMessage,
     DeliverySchedule,
@@ -19,6 +24,7 @@ from codedcache import (
     make_schedule,
     needed_map,
     permute_schedule,
+    place,
     place_alpha,
     place_beta,
     schedule_from_json,
@@ -192,6 +198,19 @@ def test_decodable_validates_inputs():
         decodable(cache, DeliverySchedule((foreign,), Fraction(1, 6)), (1, 1, 1))
 
 
+def test_decodable_rejects_a_rate_other_than_the_message_sum():
+    cache = toy_cache()
+    schedule = greedy_schedule(cache, (1, 1, 2))
+    assert schedule.rate == 1
+    assert decodable(cache, schedule, (1, 1, 2)).ok
+    with pytest.raises(ValidationError, match="rate"):
+        decodable(cache, DeliverySchedule(schedule.messages, Fraction(0)), (1, 1, 2))
+    data = schedule_to_json(schedule, 3)
+    data["rate"] = "1/2"
+    with pytest.raises(ValidationError, match="rate"):
+        decodable(cache, schedule_from_json(data), (1, 1, 2))
+
+
 # ---------------------------------------------------------------------------
 # tabulated schedule
 # ---------------------------------------------------------------------------
@@ -235,6 +254,19 @@ def test_toy_schedule_rejects_other_setups():
         toy_schedule((1, 2))
     with pytest.raises(UnsupportedConfigError):
         toy_schedule((1, 2, 3))
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [make_config(3, [1, 1], [3, 0]), make_config(3, [1, 1], [2, 1], strategy="alpha")],
+    ids=["beta-r30", "alpha-r21"],
+)
+def test_toy_scheduler_rejects_other_placements(cfg):
+    with pytest.raises(UnsupportedConfigError, match="reference placement"):
+        SCHEDULERS["toy"](place(cfg), (1, 1, 2))
+    # the placement, not the popularity, decides
+    cache = place(toy_config(Fraction(9, 10)))
+    assert SCHEDULERS["toy"](cache, (1, 1, 2)) == toy_schedule((1, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +316,76 @@ def test_greedy_sound_and_within_uncached_bound():
             requesters = [k + 1 for k, df in enumerate(demand) if df == f]
             bound += 1 - min(cache.cached_fraction(k, f) for k in requesters)
         assert schedule.rate <= bound
+
+
+# sha256 over the JSON of greedy's schedule for every demand vector, in
+# itertools.product order.  Any change to a schedule, including greedy's
+# tie-break among equally large cliques, changes the digest.
+GREEDY_GOLDEN = {
+    (3, (1, 1), (2, 1), "beta"): "972ade9298605fbd43c4a8d6ac6679dbf4f1f8c742a75e56892d54132dde6da1",
+    (4, (1, 1), (2, 1), "beta"): "ebc7dfe745c23985c2b54b04166c5b8bf26d3517f3906f215c386bdc5553a62e",
+    (4, (1, 1, 1), (3, 1, 1), "beta"): "417ab74e56a056f71e48083f258be154367234262c894ba17b17d65a9ed1bad2",
+    (5, (1, 1), (3, 1), "beta"): "1b0467c758efb7dc1d3a96caff331778f5f8f68dbb35e6bd3e78f576c9a1c93f",
+    (5, (1, 1), (4, 2), "beta"): "90312b267ae846a776bcdcb82e5e415c73b15521823b52dee064a91ab1ac3684",
+    # piece sizes 1/4 and 1/6: the clique pass's equal-size filter runs
+    (4, (1, 1), (3, 2), "alpha"): "d68df3efb652c4c0520cc8e546bbdbc761902be10a1212c0262aef644758dea9",
+    (4, (2, 1), (2, 1), "alpha"): "8505a3365a35450c09797a25327109d5726cde4574e6a38ec3850a7469507d6e",
+}
+
+
+@pytest.mark.parametrize("setup", GREEDY_GOLDEN, ids=lambda s: f"K{s[0]}-{s[3]}-r{s[2]}")
+def test_greedy_schedules_match_golden_digest(setup):
+    users, sizes, r, strategy = setup
+    cfg = make_config(users, sizes, r, strategy=strategy)
+    cache = place(cfg)
+    digest = hashlib.sha256()
+    for demand in itertools.product(range(1, cfg.num_files + 1), repeat=users):
+        data = schedule_to_json(greedy_schedule(cache, demand), users, demand=demand)
+        digest.update(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == GREEDY_GOLDEN[setup]
+
+
+@st.composite
+def relabeled_demands(draw, max_users=5, strategies=("beta", "alpha")):
+    users = draw(st.integers(2, max_users))
+    levels = draw(st.integers(1, 2))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=levels, max_size=levels))
+    r = draw(st.lists(st.integers(0, users), min_size=levels, max_size=levels))
+    strategy = draw(st.sampled_from(strategies))
+    if strategy == "beta":
+        r.sort(reverse=True)
+    files = st.integers(1, sum(sizes))
+    demand = draw(st.lists(files, min_size=users, max_size=users))
+    perm = draw(st.permutations(range(users)))
+    return make_config(users, sizes, r, strategy=strategy), tuple(demand), perm
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="greedy's tie-break depends on user labels: at K = 5, r = (3, 2) "
+    "the demand (1,2,1,2,2) costs 9/10 and (2,1,2,2,1) costs 14/15",
+)
+@settings(max_examples=150, deadline=None)
+@given(relabeled_demands())
+@example((make_config(5, [1, 1], [3, 2]), (1, 2, 1, 2, 2), [1, 0, 3, 4, 2]))
+def test_greedy_rate_invariant_under_user_relabeling(case):
+    # expected_rate_exact(symmetric=True) rates one demand per multiset
+    cfg, demand, perm = case
+    cache = place(cfg)
+    relabeled = tuple(demand[j] for j in perm)
+    assert greedy_schedule(cache, relabeled).rate == greedy_schedule(cache, demand).rate
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabeled_demands(max_users=3, strategies=("beta",)))
+def test_exhaustive_rate_invariant_under_user_relabeling_on_beta(case):
+    # the rates --m-sweep path: expected_rate_exact(symmetric=True) over
+    # exhaustive schedules of beta placements, whose pieces share one size
+    cfg, demand, perm = case
+    cache = place(cfg)
+    relabeled = tuple(demand[j] for j in perm)
+    assert exhaustive_schedule(cache, relabeled).rate == exhaustive_schedule(cache, demand).rate
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +476,9 @@ def test_mixed_piece_sizes_rejected():
     i2 = enumerate_indices(4, (2,))[0]
     with pytest.raises(ValidationError):
         make_schedule(cache, [DeliveryMessage.build([(1, i1), (2, i2)])])
+    # file 0 would otherwise index the last file's piece count
+    with pytest.raises(ValidationError, match="outside"):
+        make_schedule(cache, [DeliveryMessage.build([(0, i2)])])
 
 
 def test_schedule_json_round_trip():
