@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
-from .combinatorics import SubfileIndex, _rank_table, _users_from_mask, enumerate_indices
+from .combinatorics import SubfileIndex, _rank_table, _users_from_mask
 from .errors import BudgetExceededError, UnsupportedConfigError, ValidationError
 from .gf2 import GF2Basis
 from .placement import CacheState, place_beta, toy_config
@@ -74,7 +74,7 @@ class DeliverySchedule:
 
 def _piece_counts(cache: CacheState) -> list[int]:
     """Sub-packetization of every file, indexed by ``file - 1``."""
-    return [cache.subpacketization(f) for f in range(1, cache.num_files + 1)]
+    return [len(row) for row in cache.masks]
 
 
 def _message_size(counts: Sequence[int], message: DeliveryMessage) -> Fraction:
@@ -131,13 +131,14 @@ def normalize_demand(cache: CacheState, demand) -> dict[int, int]:
 
 
 def needed_map(cache: CacheState, demand) -> dict[int, frozenset[Pair]]:
-    """Pieces of each user's requested file that are absent from its cache."""
+    """Pieces of each user's requested file that are absent from its cache:
+    those whose holder mask lacks the user's bit."""
     dem = normalize_demand(cache, demand)
     out = {}
     for k, f in dem.items():
-        have = cache.user_cache(k)
-        indices = enumerate_indices(cache.users, cache.spaces[f - 1])
-        out[k] = frozenset((f, idx) for idx in indices if (f, idx) not in have)
+        bit = 1 << (k - 1)
+        pieces = zip(cache.indices(f), cache.masks[f - 1])
+        out[k] = frozenset((f, idx) for idx, mask in pieces if not mask & bit)
     return out
 
 
@@ -154,9 +155,20 @@ class _ColumnLayout:
     """
 
     def __init__(self, cache: CacheState) -> None:
-        self.ranks = [_rank_table(cache.users, tuple(space)) for space in cache.spaces]
-        self.counts = [len(table) for table in self.ranks]
+        self.cache = cache
+        self.ranks = [_rank_table(cache.users, space) for space in cache.spaces]
+        self.counts = _piece_counts(cache)
         self.offsets = [sum(self.counts[:i]) for i in range(len(self.counts))]
+
+    def cached(self, user: int) -> list[tuple[int, Pair]]:
+        """Column and piece of everything `user` caches, in column order."""
+        bit = 1 << (user - 1)
+        return [
+            (offset + rank, (f, idx))
+            for f, offset in enumerate(self.offsets, start=1)
+            for rank, (idx, mask) in enumerate(zip(self.cache.indices(f), self.cache.masks[f - 1]))
+            if mask & bit
+        ]
 
     def column(self, file: int, idx: SubfileIndex) -> int:
         rank = self.ranks[file - 1].get(idx.masks)
@@ -222,9 +234,9 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
     for k in sorted(dem):
         rows: list[tuple[str, object]] = []
         basis = GF2Basis(track=True)
-        for pair in sorted(cache.user_cache(k), key=_pair_key):
+        for column, pair in layout.cached(k):
             rows.append(("cache", pair))
-            basis.add(layout.unit(*pair), tag=len(rows) - 1)
+            basis.add(1 << column, tag=len(rows) - 1)
         for i, vec in enumerate(vectors):
             rows.append(("message", i))
             basis.add(vec, tag=len(rows) - 1)
@@ -237,10 +249,11 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
                 user_missing.append(pair)
                 continue
             used_cache, used_msgs = [], []
-            for row_id in range(len(rows)):
-                if combo >> row_id & 1:
-                    kind, payload = rows[row_id]
-                    (used_cache if kind == "cache" else used_msgs).append(payload)
+            while combo:
+                low = combo & -combo
+                kind, payload = rows[low.bit_length() - 1]
+                (used_cache if kind == "cache" else used_msgs).append(payload)
+                combo ^= low
             user_certs[pair] = Certificate(tuple(used_cache), tuple(used_msgs))
         certificates[k] = user_certs
         if user_missing:
@@ -337,7 +350,7 @@ class _CliqueIndex:
     """Each user's uncovered pieces, bucketed by (piece size, holder mask).
 
     A piece's holder mask has bit ``k - 1`` set iff user ``k`` caches it;
-    the masks are read once from ``CacheState.entries``.  Every bucket is
+    the masks are looked up once in ``CacheState.masks``.  Every bucket is
     a list in ascending key order, so its head is its minimum.  A group
     ``G`` has a slot for member ``k`` iff one of ``k``'s buckets has a mask
     containing ``G - {k}``: every piece in that bucket is needed by ``k``
@@ -349,12 +362,10 @@ class _CliqueIndex:
         self.pairs: dict[Key, Pair] = {
             _pair_key(pair): pair for pieces in needs.values() for pair in pieces
         }
-        self.holders = dict.fromkeys(self.pairs, 0)
-        for k, entries in enumerate(cache.entries):
-            for f, idx in entries:
-                key = (f, idx.masks)
-                if key in self.holders:
-                    self.holders[key] |= 1 << k
+        ranks = [_rank_table(cache.users, space) for space in cache.spaces]
+        self.holders = {
+            (f, masks): cache.masks[f - 1][ranks[f - 1][masks]] for f, masks in self.pairs
+        }
         self.buckets: dict[int, dict[tuple[int, int], list[Key]]] = {}
         for k, pieces in sorted(needs.items()):
             by_bucket: dict[tuple[int, int], list[Key]] = {}
@@ -489,17 +500,16 @@ def _regular_pass(cache: CacheState, dem: Mapping[int, int]) -> DeliverySchedule
     messages: list[DeliveryMessage] = []
     for file in sorted(set(dem.values())):
         requesters = sorted(k for k, f in dem.items() if f == file)
-        indices = enumerate_indices(cache.users, cache.spaces[file - 1])
-        holders = {idx: cache.holders(file, idx) for idx in indices}
-        degrees = {len(h) for h in holders.values()}
+        pieces = list(zip(cache.indices(file), cache.masks[file - 1]))
+        degrees = {mask.bit_count() for _, mask in pieces}
         regular = False
         if len(degrees) == 1:
             t = degrees.pop()
             if t == cache.users:
                 continue  # fully cached everywhere, nothing to send
-            classes: dict[frozenset[int], list[SubfileIndex]] = {}
-            for idx in indices:  # already in canonical order
-                classes.setdefault(holders[idx], []).append(idx)
+            classes: dict[int, list[SubfileIndex]] = {}
+            for idx, mask in pieces:  # already in canonical order
+                classes.setdefault(mask, []).append(idx)
             sizes = {len(v) for v in classes.values()}
             regular = len(classes) == comb(cache.users, t) and len(sizes) == 1
         if regular:
@@ -508,22 +518,15 @@ def _regular_pass(cache: CacheState, dem: Mapping[int, int]) -> DeliverySchedule
             for team in itertools.combinations(range(1, cache.users + 1), t + 1):
                 if leader not in team:
                     continue
+                bits = [1 << (k - 1) for k in team]
                 for j in range(slice_count):
-                    pairs = [
-                        (file, classes[frozenset(team) - {k}][j]) for k in team
-                    ]
+                    pairs = [(file, classes[sum(bits) - bit][j]) for bit in bits]
                     messages.append(DeliveryMessage.build(pairs))
         else:
-            missing = sorted(
-                {
-                    idx
-                    for idx in indices
-                    for k in requesters
-                    if (file, idx) not in cache.user_cache(k)
-                },
-                key=lambda i: i.masks,
+            wanted = sum(1 << (k - 1) for k in requesters)
+            messages.extend(
+                DeliveryMessage.build([(file, idx)]) for idx, mask in pieces if wanted & ~mask
             )
-            messages.extend(DeliveryMessage.build([(file, idx)]) for idx in missing)
     return make_schedule(cache, messages)
 
 
@@ -581,12 +584,7 @@ def exhaustive_schedule(
     layout = _ColumnLayout(cache)
     candidates = _candidate_messages(cache, active, max_summands)
     users = sorted(active)
-    cache_masks = {}
-    for k in users:
-        m = 0
-        for pair in cache.user_cache(k):
-            m |= layout.unit(*pair)
-        cache_masks[k] = m
+    cache_masks = {k: sum(1 << column for column, _ in layout.cached(k)) for k in users}
     needed_units = {
         k: [layout.unit(*pair) for pair in sorted(active[k], key=_pair_key)] for k in users
     }

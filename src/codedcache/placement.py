@@ -21,12 +21,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .combinatorics import (
     SubfileIndex,
+    _enumerate,
+    _rank_table,
     check_r_vector,
-    enumerate_indices,
     subpacketization,
 )
 from .errors import ValidationError
@@ -162,87 +163,112 @@ def toy_config(p: Number | str = Fraction(1, 2)) -> PlacementConfig:
 
 @dataclass(frozen=True)
 class CacheState:
-    """Immutable per-user cache contents.
+    """Immutable cache contents of every user: one holder mask per piece.
 
-    ``spaces[i]`` is the replication chain of file ``i + 1`` (so the file
-    has ``subpacketization(users, spaces[i])`` pieces), and ``entries[k]``
-    holds user ``k + 1``'s set of ``(file, SubfileIndex)`` pairs.
+    ``spaces[i]`` is the replication chain of file ``i + 1``, and
+    ``masks[i][rank]`` is the holder mask of that file's piece at ``rank``
+    in :func:`enumerate_indices` order: bit ``k - 1`` is set iff user ``k``
+    caches the piece.  Construction checks that every space is a valid
+    r-vector, that each file has one mask per piece, and that no mask names
+    a user beyond ``users``; lookups then trust the state.
     """
 
     users: int
     spaces: tuple[tuple[int, ...], ...]
-    entries: tuple[frozenset, ...] = field(repr=False)
+    masks: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        spaces = tuple(check_r_vector(self.users, space) for space in self.spaces)
+        masks = tuple(tuple(row) for row in self.masks)
+        if len(masks) != len(spaces):
+            raise ValidationError(f"{len(masks)} mask rows for {len(spaces)} files")
+        full = (1 << self.users) - 1
+        for file, (space, row) in enumerate(zip(spaces, masks), start=1):
+            count = subpacketization(self.users, space)
+            if len(row) != count:
+                raise ValidationError(f"file {file} has {len(row)} masks for {count} pieces")
+            if row and (min(row) < 0 or max(row) > full):
+                raise ValidationError(f"file {file} has a holder beyond user {self.users}")
+        object.__setattr__(self, "spaces", spaces)
+        object.__setattr__(self, "masks", masks)
 
     @property
     def num_files(self) -> int:
         return len(self.spaces)
 
-    def subpacketization(self, file: int) -> int:
-        return subpacketization(self.users, self.spaces[file - 1])
+    def _at(self, file: int) -> int:
+        """Position of a 1-indexed file in ``spaces`` and ``masks``."""
+        if not 1 <= file <= self.num_files:
+            raise ValidationError(f"file {file} outside [1, {self.num_files}]")
+        return file - 1
 
-    def user_cache(self, user: int) -> frozenset:
+    def subpacketization(self, file: int) -> int:
+        return len(self.masks[self._at(file)])
+
+    def indices(self, file: int) -> tuple[SubfileIndex, ...]:
+        """The pieces of a file in rank order, parallel to its masks."""
+        return _enumerate(self.users, self.spaces[self._at(file)])
+
+    def _bit(self, user: int) -> int:
         if not 1 <= user <= self.users:
             raise ValidationError(f"user {user} outside [1, {self.users}]")
-        return self.entries[user - 1]
+        return 1 << (user - 1)
+
+    def user_cache(self, user: int) -> frozenset:
+        """The ``(file, SubfileIndex)`` pairs one user caches, as a set."""
+        bit = self._bit(user)
+        return frozenset(
+            (f, idx)
+            for f in range(1, self.num_files + 1)
+            for idx, mask in zip(self.indices(f), self.masks[f - 1])
+            if mask & bit
+        )
 
     def cached_count(self, user: int, file: int) -> int:
-        return sum(1 for (f, _) in self.user_cache(user) if f == file)
+        bit = self._bit(user)
+        return sum(1 for mask in self.masks[self._at(file)] if mask & bit)
 
     def cached_fraction(self, user: int, file: int) -> Fraction:
         return Fraction(self.cached_count(user, file), self.subpacketization(file))
 
     def user_load(self, user: int) -> Fraction:
         """Cache occupancy of one user in file units (exact)."""
-        total = Fraction(0)
-        for (f, _) in self.user_cache(user):
-            total += Fraction(1, self.subpacketization(f))
-        return total
-
-    def holders(self, file: int, idx: SubfileIndex) -> frozenset[int]:
-        """Users whose cache contains the given piece."""
-        return frozenset(
-            k for k in range(1, self.users + 1) if (file, idx) in self.entries[k - 1]
+        return sum(
+            (self.cached_fraction(user, f) for f in range(1, self.num_files + 1)),
+            Fraction(0),
         )
+
+
+def _place(cfg: PlacementConfig, chains: Sequence[tuple[tuple[int, ...], int]]) -> CacheState:
+    """Shared builder: ``chains[g - 1]`` is ``(space, level)`` for group
+    ``g``.  The group's files are split into the pieces of ``space``, and a
+    piece's holder mask is its chain's subset at the 0-indexed ``level``.
+    Files of one group share one mask row."""
+    spaces: list[tuple[int, ...]] = []
+    masks: list[tuple[int, ...]] = []
+    for group, (space, level) in zip(cfg.groups, chains):
+        row = tuple(idx.masks[level] for idx in _enumerate(cfg.users, space))
+        spaces += [space] * group.size
+        masks += [row] * group.size
+    return CacheState(cfg.users, tuple(spaces), tuple(masks))
 
 
 def place_beta(cfg: PlacementConfig) -> CacheState:
     """Run the cross-group placement: uniform sub-packetization, nested chains.
 
-    User ``k`` stores piece ``(tau_1, ..., tau_L)`` of file ``i`` iff ``k``
-    belongs to the chain level of file ``i``'s group.
+    User ``k`` stores piece ``(tau_1, ..., tau_L)`` of a group-``g`` file
+    iff ``k`` belongs to ``tau_g``.
     """
-    r = check_r_vector(cfg.users, cfg.r_vector)
-    indices = enumerate_indices(cfg.users, r)
-    per_user: list[set] = [set() for _ in range(cfg.users)]
-    for file in range(1, cfg.num_files + 1):
-        level = cfg.group_of(file)
-        for idx in indices:
-            mask = idx.masks[level - 1]
-            for k in range(1, cfg.users + 1):
-                if mask >> (k - 1) & 1:
-                    per_user[k - 1].add((file, idx))
-    spaces = tuple(r for _ in range(cfg.num_files))
-    return CacheState(cfg.users, spaces, tuple(frozenset(s) for s in per_user))
+    return _place(cfg, [(cfg.r_vector, level) for level in range(cfg.num_groups)])
 
 
 def place_alpha(cfg: PlacementConfig) -> CacheState:
     """Place every group independently with the one-level classic scheme.
 
-    Each group keeps its own sub-packetization ``C(K, r_g)``; the result is
-    the plain union of the per-group cache states.
+    Each group keeps its own sub-packetization ``C(K, r_g)``, and user
+    ``k`` stores piece ``(tau_1,)`` iff ``k`` belongs to ``tau_1``.
     """
-    per_user: list[set] = [set() for _ in range(cfg.users)]
-    spaces: list[tuple[int, ...]] = []
-    for gi, group in enumerate(cfg.groups, start=1):
-        indices = enumerate_indices(cfg.users, (group.r,))
-        for file in cfg.files_in(gi):
-            spaces.append((group.r,))
-            for idx in indices:
-                mask = idx.masks[0]
-                for k in range(1, cfg.users + 1):
-                    if mask >> (k - 1) & 1:
-                        per_user[k - 1].add((file, idx))
-    return CacheState(cfg.users, tuple(spaces), tuple(frozenset(s) for s in per_user))
+    return _place(cfg, [((group.r,), 0) for group in cfg.groups])
 
 
 def place(cfg: PlacementConfig) -> CacheState:
@@ -315,6 +341,9 @@ def load_config(path) -> PlacementConfig:
 
 
 def cache_to_json(cache: CacheState) -> dict:
+    chains = {
+        space: [idx.sets for idx in _enumerate(cache.users, space)] for space in set(cache.spaces)
+    }
     return {
         "K": cache.users,
         "files": [
@@ -329,10 +358,10 @@ def cache_to_json(cache: CacheState) -> dict:
             {
                 "user": k,
                 "entries": [
-                    {"file": f, "chains": [list(s) for s in idx.sets]}
-                    for (f, idx) in sorted(
-                        cache.user_cache(k), key=lambda e: (e[0], e[1].masks)
-                    )
+                    {"file": f, "chains": [list(s) for s in sets]}
+                    for f, (space, row) in enumerate(zip(cache.spaces, cache.masks), start=1)
+                    for mask, sets in zip(row, chains[space])
+                    if mask >> (k - 1) & 1
                 ],
             }
             for k in range(1, cache.users + 1)
@@ -341,17 +370,27 @@ def cache_to_json(cache: CacheState) -> dict:
 
 
 def cache_from_json(data: Mapping) -> CacheState:
+    """Read a cache state back; a record that names no piece of the
+    placement, or disagrees with ``K``, raises :class:`ValidationError`."""
     try:
         users = data["K"]
-        spaces = tuple(tuple(f["r"]) for f in data["files"])
-        entries = []
-        for u in data["users"]:
-            entries.append(
-                frozenset(
-                    (e["file"], SubfileIndex.from_sets(e["chains"], users))
-                    for e in u["entries"]
-                )
-            )
+        spaces = [check_r_vector(users, f["r"]) for f in data["files"]]
+        if len(data["users"]) != users:
+            raise ValidationError(f"{len(data['users'])} user records for K = {users}")
+        ranks = [_rank_table(users, space) for space in spaces]
+        masks = [[0] * len(table) for table in ranks]
+        for k, u in enumerate(data["users"], start=1):
+            if u["user"] != k:
+                raise ValidationError(f"user record {u['user']!r} in position {k}")
+            for e in u["entries"]:
+                f = e["file"]
+                if not 1 <= f <= len(spaces):
+                    raise ValidationError(f"file {f} outside [1, {len(spaces)}]")
+                idx = SubfileIndex.from_sets(e["chains"], users)
+                rank = ranks[f - 1].get(idx.masks)
+                if rank is None:
+                    raise ValidationError(f"{idx.sets} is no piece of file {f}")
+                masks[f - 1][rank] |= 1 << (k - 1)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed cache state: {exc}") from exc
-    return CacheState(users, spaces, tuple(entries))
+    return CacheState(users, tuple(spaces), tuple(tuple(row) for row in masks))

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from codedcache import (
     SCHEDULERS,
     BudgetExceededError,
+    CacheState,
     DeliveryMessage,
     DeliverySchedule,
     UnsupportedConfigError,
@@ -316,6 +317,23 @@ def test_greedy_sound_and_within_uncached_bound():
             requesters = [k + 1 for k, df in enumerate(demand) if df == f]
             bound += 1 - min(cache.cached_fraction(k, f) for k in requesters)
         assert schedule.rate <= bound
+
+
+@pytest.mark.parametrize(
+    "row, demand",
+    [
+        ((0b000, 0b000, 0b001), {1: 1}),  # two pieces nobody caches
+        ((0b011, 0b001, 0b000), {1: 1, 2: 1}),  # unequal holder counts
+    ],
+)
+def test_greedy_sound_on_irregular_cache(row, demand):
+    """Holder masks that neither placement produces send the regular pass
+    to its uncoded fallback, which must still deliver every missing piece."""
+    cache = CacheState(3, ((1,),), (row,))
+    schedule = greedy_schedule(cache, demand)
+    assert decodable(cache, schedule, demand)
+    missing = sum(1 for mask in row if any(not mask >> (k - 1) & 1 for k in demand))
+    assert schedule.rate <= Fraction(missing, len(row))
 
 
 # sha256 over the JSON of greedy's schedule for every demand vector, in

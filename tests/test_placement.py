@@ -1,9 +1,12 @@
+import hashlib
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
 
 from codedcache import (
+    CacheState,
     SubfileIndex,
     ValidationError,
     cache_from_json,
@@ -13,6 +16,7 @@ from codedcache import (
     enumerate_indices,
     make_config,
     per_group_cache,
+    place,
     place_alpha,
     place_beta,
     split_by_popularity,
@@ -146,8 +150,7 @@ def test_placement_rule_is_group_membership():
 def test_alpha_single_group_equals_beta():
     beta = place_beta(make_config(3, [2], [1]))
     alpha = place_alpha(make_config(3, [2], [1], strategy="alpha"))
-    assert beta.entries == alpha.entries
-    assert beta.spaces == alpha.spaces
+    assert beta == alpha
 
 
 def test_alpha_full_and_empty_groups():
@@ -167,6 +170,11 @@ def test_alpha_groups_keep_own_subpacketization():
     assert cache.subpacketization(2) == 6
     for k in range(1, 5):
         assert cache.user_load(k) == cfg.memory
+    for file in (0, 3):  # not the last file's row
+        with pytest.raises(ValidationError):
+            cache.subpacketization(file)
+        with pytest.raises(ValidationError):
+            cache.cached_count(1, file)
 
 
 def test_alpha_allows_increasing_r():
@@ -213,6 +221,70 @@ def test_cache_json_round_trip():
         cache = place_beta(cfg) if cfg.strategy == "beta" else place_alpha(cfg)
         again = cache_from_json(cache_to_json(cache))
         assert again == cache
+
+
+# sha256 of json.dumps(cache_to_json(place(cfg)), indent=2), taken before the
+# cache state became one holder mask per piece.
+CACHE_JSON_GOLDEN = [
+    (
+        make_config(5, [1, 2, 1], [3, 2, 1]),
+        "754581b8acb02612cee9d4c8d84706e6c198a8182a372350ffbb7f3abf7bce41",
+    ),
+    (
+        # piece counts 10, 5, 5, 1, 1; the r = 0 group caches nothing
+        make_config(5, [1, 2, 2], [3, 1, 0], strategy="alpha"),
+        "100eb48b6fe40385241ab4272b5697a3ec4b60e63bcbf93afd4655100edc431c",
+    ),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", CACHE_JSON_GOLDEN, ids=["beta", "alpha"])
+def test_cache_json_bytes_pinned(cfg, digest):
+    text = json.dumps(cache_to_json(place(cfg)), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda d: d["users"][0]["entries"].append({"file": 1, "chains": [[1, 2, 3], [1]]}),
+        lambda d: d["users"][0]["entries"].append({"file": 5, "chains": [[1, 2], [1]]}),
+        lambda d: d.update(K=4),
+        lambda d: d["files"][1].update(r=[1, 2]),
+        lambda d: d["users"][1].update(user=3),
+        lambda d: d["users"][0]["entries"][0].update(chains=[[1, 4], [1]]),
+        lambda d: d.update(files=7),
+    ],
+    ids=[
+        "chain-no-piece-of-file",
+        "file-5-of-2",
+        "K-4-with-3-records",
+        "increasing-r",
+        "records-out-of-order",
+        "user-4-of-3",
+        "files-not-a-list",
+    ],
+)
+def test_cache_json_rejects_bad_input(damage):
+    data = cache_to_json(place_beta(toy_config()))
+    damage(data)
+    with pytest.raises(ValidationError):
+        cache_from_json(data)
+
+
+def test_cache_state_validates_masks():
+    good = place_beta(toy_config())
+    assert CacheState(good.users, good.spaces, good.masks) == good
+    short = (good.masks[0][:-1], good.masks[1])
+    with pytest.raises(ValidationError):
+        CacheState(good.users, good.spaces, short)  # one mask per piece
+    beyond = ((good.masks[0][0] | 1 << 3,) + good.masks[0][1:], good.masks[1])
+    with pytest.raises(ValidationError):
+        CacheState(good.users, good.spaces, beyond)  # user 4 of 3
+    with pytest.raises(ValidationError):
+        CacheState(good.users, ((1, 2), (2, 1)), good.masks)  # increasing chain
+    with pytest.raises(ValidationError):
+        CacheState(good.users, good.spaces, good.masks[:1])  # a row per file
 
 
 def test_split_by_popularity():
