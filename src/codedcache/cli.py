@@ -193,8 +193,8 @@ def cmd_rates(args) -> int:
         print(f"wrote {out}")
     else:
         print(",".join([curves[0].xname] + [c.label for c in curves]))
-        for i, x in enumerate(curves[0].xs):
-            print(",".join([f"{float(x):.12g}"] + [f"{float(c.ys[i]):.12g}" for c in curves]))
+        for x, *ys in zip(curves[0].xs, *(c.ys for c in curves)):
+            print(",".join([f"{float(x):.12g}"] + [f"{float(y):.12g}" for y in ys]))
     return EXIT_OK
 
 

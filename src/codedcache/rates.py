@@ -1,10 +1,14 @@
 """Expected delivery rates, closed-form curves, and the memory-rate region.
 
 Expectations are taken over i.i.d. user requests: ``R = sum_d P(d) R(d)``
-with ``P(d)`` the product of per-file request probabilities.  When the
-popularity is given as exact rationals every expectation here is an exact
-``Fraction``; floats appear only for float popularities and plotting
-grids.
+with ``P(d)`` the product of per-file request probabilities.  Rating a
+scheduler enumerates the demands, so it is limited to ``N**K`` request
+vectors.  The grouping baseline's closed kernel needs no demand: by
+linearity of expectation its rate is a sum over groups, each taken over
+the law of the number of distinct files of the group that are requested.
+When the popularity is given as exact rationals every expectation here is
+an exact ``Fraction``; floats appear only for float popularities and
+plotting grids.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Mapping, Sequence
 
@@ -308,8 +313,8 @@ def classic_rate(users: int, t: int, distinct: int) -> Fraction:
     `t`, counting only the non-redundant XOR rounds."""
     if not 0 <= t <= users:
         raise ValidationError(f"cache level {t} outside [0, {users}]")
-    if distinct < 0:
-        raise ValidationError("distinct file count cannot be negative")
+    if not 0 <= distinct <= users:
+        raise ValidationError(f"distinct file count {distinct} outside [0, {users}]")
     if distinct == 0:
         return Fraction(0)
     return Fraction(comb(users, t + 1) - comb(users - distinct, t + 1), comb(users, t))
@@ -335,6 +340,52 @@ def memory_share(users: int, size: int, memory) -> tuple[tuple[Fraction, int], .
     return ((1 - w_hi, int(lo)), (w_hi, int(hi)))
 
 
+def _distinct_law(users: int, group_pop: tuple, rest) -> list:
+    """Law of the number of distinct files of one group that `users`
+    i.i.d. users request: entry d is P(D = d), for d = 0..users.
+
+    A dynamic program over the group's files.  ``ways[j][d]`` weighs the
+    ways for j of the users to request d distinct files among the files
+    seen so far; file f takes c of the other ``users - j`` users with
+    weight ``C(users - j, c) * p_f**c``.  The users left over request a
+    file outside the group, each with probability `rest`.
+    """
+    ways = [[0] * (users + 1) for _ in range(users + 1)]
+    ways[0][0] = 1
+    for p in group_pop:
+        nxt = [row[:] for row in ways]
+        for j in range(users):
+            free = users - j
+            for d in range(j + 1):
+                w = ways[j][d]
+                if not w:
+                    continue
+                for c in range(1, free + 1):
+                    nxt[j + c][d + 1] += w * comb(free, c) * p**c
+        ways = nxt
+    law = [0] * (users + 1)
+    for j in range(users + 1):
+        stay = rest ** (users - j)
+        for d in range(j + 1):
+            law[d] += ways[j][d] * stay
+    return law
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _level_rates(users: int, group_pop: tuple, rest) -> tuple:
+    """Expected :func:`classic_rate` of one group at every cache level
+    ``t = 0..users``, over the law of its distinct requested files.
+
+    `rest` is the popularity outside the group.  ``typed=True`` keys the
+    cache on its type, so a float group never reuses an exact result.
+    """
+    law = _distinct_law(users, group_pop, rest)
+    return tuple(
+        sum(law[d] * classic_rate(users, t, d) for d in range(users + 1))
+        for t in range(users + 1)
+    )
+
+
 def alpha_expected_rate(
     users: int,
     sizes: Sequence[int],
@@ -348,9 +399,17 @@ def alpha_expected_rate(
 
     Every group is served independently: its cache level is memory-shared
     into at most two integer levels, each placed with the one-level scheme.
-    With `scheduler` set (e.g. the exhaustive solver) per-group rates come
-    from actual schedules on the per-group placements; otherwise the
-    closed distinct-demand kernel :func:`classic_rate` is used.
+    By linearity of expectation the rate is a sum over groups, and the
+    closed kernel :func:`classic_rate` sees a group only through D, the
+    number of its files that are requested.  So without `scheduler` the
+    result is ``sum_g sum_(w, t) w * E[classic_rate(K, t, D_g)]``, with the
+    law of each D_g computed exactly by :func:`_distinct_law`; no demand
+    vector is enumerated and ``N**K`` is not bounded.  The expectation of
+    a group depends only on its popularities, so it is computed once and
+    reused across calls.  With `scheduler` set (e.g. the exhaustive
+    solver) per-group rates come from actual schedules on the per-group
+    placements, summed over every demand multiset; that path raises
+    :class:`LimitExceededError` when ``N**K`` exceeds `limit`.
     """
     if len(sizes) != len(memories):
         raise ValidationError("sizes and memories must have the same length")
@@ -358,32 +417,45 @@ def alpha_expected_rate(
     n = len(pop)
     if sum(sizes) != n:
         raise ValidationError("group sizes must cover every file exactly once")
+    shares = [memory_share(users, s, m) for s, m in zip(sizes, memories)]
+    exact = all(isinstance(p, Fraction) for p in pop)
+    if scheduler is None:
+        if not exact:
+            pop = tuple(float(p) for p in pop)
+        zero = Fraction(0) if exact else 0.0
+        total = zero
+        lo = 0
+        for size, share in zip(sizes, shares):
+            hi = lo + size
+            # the other files' total, not 1 - q_g: a float popularity sums
+            # to 1 only within a tolerance, and this total keeps the result
+            # equal to the sum over demands
+            rest = sum(pop[:lo], zero) + sum(pop[hi:], zero)
+            rates = _level_rates(users, pop[lo:hi], rest)
+            for w, t in share:
+                if w:
+                    total += w * rates[t]
+            lo = hi
+        return total
+
     if n**users > limit:
         raise LimitExceededError(f"{n}**{users} request vectors exceed the limit {limit}")
-
     starts = [1 + sum(sizes[:i]) for i in range(len(sizes))]
-    shares = [memory_share(users, s, m) for s, m in zip(sizes, memories)]
-
     piece_caches: dict[tuple[int, int], CacheState] = {}
-    if scheduler is not None:
-        for gi, size in enumerate(sizes):
-            for _, t in shares[gi]:
-                if (gi, t) not in piece_caches:
-                    sub = make_config(users, [size], [t], strategy="alpha")
-                    piece_caches[(gi, t)] = place_alpha(sub)
+    for gi, size in enumerate(sizes):
+        for _, t in shares[gi]:
+            if (gi, t) not in piece_caches:
+                sub = make_config(users, [size], [t], strategy="alpha")
+                piece_caches[(gi, t)] = place_alpha(sub)
 
     rate_memo: dict[tuple[int, int, tuple[tuple[int, int], ...]], Fraction] = {}
 
     def piece_rate(gi: int, t: int, local_demand: dict[int, int]) -> Fraction:
         key = (gi, t, tuple(sorted(local_demand.items())))
         if key not in rate_memo:
-            if scheduler is None:
-                rate_memo[key] = classic_rate(users, t, len(set(local_demand.values())))
-            else:
-                rate_memo[key] = scheduler(piece_caches[(gi, t)], local_demand).rate
+            rate_memo[key] = scheduler(piece_caches[(gi, t)], local_demand).rate
         return rate_memo[key]
 
-    exact = all(isinstance(p, Fraction) for p in pop)
     total = Fraction(0) if exact else 0.0
     for rep, counts, weight in _demand_multisets(n, users):
         prob = _probability(pop, counts, exact)
@@ -567,13 +639,12 @@ def write_curves_csv(path, curves: Sequence[RateCurve]) -> None:
     for c in curves:
         if c.xs != xs or c.xname != curves[0].xname:
             raise ValidationError("curves must share the same abscissa")
+    columns = [c.ys for c in curves]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow([curves[0].xname] + [c.label for c in curves])
-        for i, x in enumerate(xs):
-            writer.writerow(
-                [f"{float(x):.12g}"] + [f"{float(c.ys[i]):.12g}" for c in curves]
-            )
+        for x, *ys in zip(xs, *columns):
+            writer.writerow([f"{float(x):.12g}"] + [f"{float(y):.12g}" for y in ys])
 
 
 def curves_to_json(curves: Sequence[RateCurve]) -> dict:

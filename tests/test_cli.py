@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -154,6 +155,51 @@ def test_rates_m_sweep_reproduces_unit_cache_point(toy_path, tmp_path):
     assert float(at_one["R_alpha"]) == pytest.approx(1 - p**3, abs=1e-9)
     ms = [float(r["M"]) for r in rows]
     assert ms == sorted(ms) and ms[0] == 0.0 and ms[-1] == 2.0
+
+
+# sha256 of the `rates --m-sweep --strategies alpha --csv` output for two
+# K = 4, N = 4 rational popularities, one with a zero entry, taken from
+# the demand-enumerating implementation of the grouping baseline.
+ALPHA_SWEEP_GOLDEN = {
+    ("2/5", "3/10", "1/5", "1/10"): "4e8eea74b4b6587510bd09c2f006dcb780d1639678501d5a78af0492c53a2303",
+    ("1/2", "0", "3/10", "1/5"): "bb0440ef09de35368c8d34265fa90ffd82309f2c58621f741c685e13e5ce4691",
+}
+
+
+@pytest.mark.parametrize("popularity", ALPHA_SWEEP_GOLDEN, ids=lambda p: "-".join(p))
+def test_rates_alpha_sweep_matches_golden_digest(tmp_path, popularity):
+    cfg = {
+        "K": 4,
+        "strategy": "alpha",
+        "groups": [{"size": 2, "r": 2}, {"size": 2, "r": 1}],
+        "popularity": list(popularity),
+    }
+    path, out = tmp_path / "k4.json", tmp_path / "k4.csv"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ["rates", str(path), "--m-sweep", "--strategies", "alpha", "--csv", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ALPHA_SWEEP_GOLDEN[popularity]
+
+
+def test_rates_alpha_sweep_beyond_the_demand_limit(tmp_path):
+    # 3**13 request vectors exceed the enumeration limit; the grouping
+    # baseline's expectation enumerates none of them
+    popularity = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+    cfg = {
+        "K": 13,
+        "strategy": "alpha",
+        "groups": [{"size": 3, "r": 1}],
+        "popularity": [str(p) for p in popularity],
+    }
+    path, out = tmp_path / "k13.json", tmp_path / "k13.csv"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ["rates", str(path), "--m-sweep", "--strategies", "alpha", "--csv", str(out)]
+    assert main(argv) == 0
+    with open(out) as fh:
+        rows = [(float(r["M"]), float(r["R_alpha"])) for r in csv.DictReader(fh)]
+    distinct = sum(1 - (1 - float(p)) ** 13 for p in popularity)
+    assert rows[0] == (0.0, pytest.approx(distinct, rel=1e-11))
+    assert rows[-1] == (3.0, 0.0)
 
 
 def test_reruns_byte_identical_except_manifest_timestamp(toy_path, tmp_path):

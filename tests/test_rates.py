@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from codedcache import (
     ABOVE,
@@ -233,6 +236,9 @@ def test_classic_rate_kernel_values():
     assert classic_rate(3, 2, 1) == Fraction(1, 3)
     assert classic_rate(3, 3, 2) == 0
     assert classic_rate(3, 1, 0) == 0
+    assert classic_rate(3, 1, 3) == 1
+    with pytest.raises(ValidationError):
+        classic_rate(3, 1, 4)  # more distinct files than users
 
 
 def test_classic_rate_certified_by_search():
@@ -272,6 +278,79 @@ def test_alpha_closed_kernel_agrees_with_scheduler_path():
         closed = alpha_expected_rate(3, [1, 1], memories, [p, 1 - p])
         searched = alpha_expected_rate(3, [1, 1], memories, [p, 1 - p], scheduler=EXHAUSTIVE)
         assert closed == searched
+
+
+def _enumerated_alpha_rate(users, sizes, memories, popularity):
+    """The grouping baseline as a sum over every demand multiset, each
+    group rated by the distinct-demand kernel: the definition that the
+    per-group expectation must reproduce."""
+    exact = all(isinstance(p, Fraction) for p in popularity)
+    starts = [sum(sizes[:i]) for i in range(len(sizes))]
+    shares = [memory_share(users, s, m) for s, m in zip(sizes, memories)]
+    total = Fraction(0) if exact else 0.0
+    files = range(len(popularity))
+    for rep in itertools.combinations_with_replacement(files, users):
+        weight = math.factorial(users)
+        prob = Fraction(1) if exact else 1.0
+        for f in set(rep):
+            weight //= math.factorial(rep.count(f))
+            prob *= popularity[f] ** rep.count(f)
+        rate = Fraction(0)
+        for lo, size, share in zip(starts, sizes, shares):
+            distinct = len({f for f in rep if lo <= f < lo + size})
+            for w, t in share:
+                rate += w * classic_rate(users, t, distinct)
+        total += weight * prob * rate
+    return total
+
+
+@st.composite
+def alpha_cases(draw, exact=True):
+    users = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 4))
+    cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
+    bounds = [0, *sorted(cuts), n]
+    sizes = [b - a for a, b in zip(bounds, bounds[1:])]
+    # per group a cache level t in [0, K] with denominator 1 or 2: an
+    # integer level or a two-level memory share
+    den = draw(st.integers(1, 2))
+    levels = [Fraction(draw(st.integers(0, users * den)), den) for _ in sizes]
+    memories = [t * s / users for t, s in zip(levels, sizes)]
+    weights = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    if not any(weights):
+        weights[draw(st.integers(0, n - 1))] = 1
+    if exact:
+        popularity = [Fraction(w, sum(weights)) for w in weights]
+    else:
+        popularity = [w / sum(weights) for w in weights]
+    return users, sizes, memories, popularity
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha_cases())
+def test_alpha_expectation_equals_demand_enumeration(case):
+    users, sizes, memories, popularity = case
+    got = alpha_expected_rate(users, sizes, memories, popularity)
+    assert isinstance(got, Fraction)
+    assert got == _enumerated_alpha_rate(users, sizes, memories, popularity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha_cases(exact=False))
+def test_alpha_expectation_float_popularity(case):
+    users, sizes, memories, popularity = case
+    got = alpha_expected_rate(users, sizes, memories, popularity)
+    assert isinstance(got, float)
+    want = _enumerated_alpha_rate(users, sizes, memories, popularity)
+    assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_alpha_closed_kernel_has_no_demand_limit():
+    # 3**13 request vectors: only the scheduler path enumerates them
+    p = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
+    assert alpha_expected_rate(13, [3], [Fraction(0)], p) == sum(1 - (1 - x) ** 13 for x in p)
+    with pytest.raises(LimitExceededError):
+        alpha_expected_rate(13, [3], [Fraction(0)], p, scheduler=EXHAUSTIVE)
 
 
 def test_alpha_validates_shapes():
