@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -25,6 +26,7 @@ from .delivery import SCHEDULERS, decodable, exhaustive_schedule, schedule_to_js
 from .errors import LimitExceededError, ValidationError
 from .placement import cache_to_json, load_config, place
 from .rates import (
+    ENUMERATION_LIMIT,
     RateCurve,
     alpha_points,
     beta_points,
@@ -74,14 +76,24 @@ def _parse_demand(text: str, num_files: int, users: int) -> tuple[int, ...]:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    if ":" not in text:
-        return (float(text),)
     parts = text.split(":")
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValidationError(f"grid must be start:stop:step, got {text!r}")
-    start, stop, step = (float(p) for p in parts)
+    try:
+        numbers = [float(p) for p in parts]
+    except ValueError as exc:
+        raise ValidationError(f"grid {text!r} is not numeric") from exc
+    if not all(math.isfinite(x) for x in numbers):
+        raise ValidationError(f"grid {text!r} has a non-finite value")
+    if len(numbers) == 1:
+        return (numbers[0],)
+    start, stop, step = numbers
     if step <= 0 or stop < start:
         raise ValidationError(f"bad grid {text!r}")
+    # floor(steps) + 1 points; steps is inf when the quotient overflows
+    steps = (stop - start) / step
+    if steps >= ENUMERATION_LIMIT:
+        raise LimitExceededError(f"grid {text!r} has more than {ENUMERATION_LIMIT} points")
     values = []
     x = start
     while x <= stop + 1e-12:

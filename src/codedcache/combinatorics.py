@@ -32,7 +32,7 @@ from .errors import LimitExceededError, ValidationError
 MAX_ENUMERATION = 10**6
 
 
-def check_r_vector(users: int, r: Sequence[int], *, non_increasing: bool = True) -> tuple[int, ...]:
+def check_r_vector(users: int, r: Sequence[int]) -> tuple[int, ...]:
     """Validate a replication vector against a user count and return it as a tuple."""
     if users < 1:
         raise ValidationError(f"user count must be >= 1, got {users}")
@@ -44,7 +44,7 @@ def check_r_vector(users: int, r: Sequence[int], *, non_increasing: bool = True)
             raise ValidationError(f"replication entries must be integers, got {value!r}")
         if not 0 <= value <= users:
             raise ValidationError(f"replication entry {value} outside [0, {users}]")
-    if non_increasing and any(a < b for a, b in zip(rv, rv[1:])):
+    if any(a < b for a, b in zip(rv, rv[1:])):
         raise ValidationError(f"replication vector must be non-increasing, got {rv}")
     return rv
 

@@ -7,6 +7,11 @@ user ``k`` can recover a piece iff its unit vector lies in the span of
 ``k``'s cached unit vectors together with the message sum vectors, and
 the witnessing combination is returned as a certificate.
 
+Inside the module a piece is its GF(2) column, one int per (file, rank);
+a table built per call holds each column's holder mask and piece count.
+``(file, SubfileIndex)`` pairs appear only in what the module hands out:
+messages, certificates, missing pieces and :func:`needed_map`.
+
 Three schedule producers are provided:
 
 * :func:`toy_schedule` - the hand-designed optimal schedule for the
@@ -21,6 +26,7 @@ Three schedule producers are provided:
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
@@ -72,18 +78,9 @@ class DeliverySchedule:
         return len(self.messages)
 
 
-def _piece_counts(cache: CacheState) -> list[int]:
-    """Sub-packetization of every file, indexed by ``file - 1``."""
-    return [len(row) for row in cache.masks]
-
-
-def _message_size(counts: Sequence[int], message: DeliveryMessage) -> Fraction:
-    """Size of one message in file units, given each file's piece count;
-    all summands must be equal-size."""
-    for f, _ in message.summands:
-        if not 1 <= f <= len(counts):
-            raise ValidationError(f"file {f} outside [1, {len(counts)}]")
-    sizes = {counts[f - 1] for f, _ in message.summands}
+def _message_size(cache: CacheState, message: DeliveryMessage) -> Fraction:
+    """Size of one message in file units; all summands must be equal-size."""
+    sizes = {cache.subpacketization(f) for f, _ in message.summands}
     if len(sizes) != 1:
         raise ValidationError(
             "message mixes pieces of different sizes; XOR across unequal "
@@ -94,8 +91,7 @@ def _message_size(counts: Sequence[int], message: DeliveryMessage) -> Fraction:
 
 def make_schedule(cache: CacheState, messages) -> DeliverySchedule:
     msgs = tuple(messages)
-    counts = _piece_counts(cache)
-    rate = sum((_message_size(counts, m) for m in msgs), Fraction(0))
+    rate = sum((_message_size(cache, m) for m in msgs), Fraction(0))
     return DeliverySchedule(msgs, rate)
 
 
@@ -147,43 +143,61 @@ def needed_map(cache: CacheState, demand) -> dict[int, frozenset[Pair]]:
 # ---------------------------------------------------------------------------
 
 
-class _ColumnLayout:
-    """One GF(2) column per (file, piece-rank) pair of a cache state.
+class _PieceTable:
+    """Every piece of a cache state, numbered by its GF(2) column.
 
-    Ranks come from one ``masks -> rank`` table per file, so a lookup is a
-    dict access; a piece outside the placement has no column.
+    File ``f``'s piece at ``rank`` (in :func:`enumerate_indices` order) is
+    column ``offsets[f - 1] + rank``; ``holders[c]`` is column ``c``'s
+    holder mask and ``counts[c]`` its file's piece count.  Ranks follow the
+    pieces' masks and the offsets grow with the file number, so columns
+    sort exactly as ``(file, masks)`` does.  Pairs are made only for the
+    pieces a caller hands out.
     """
 
     def __init__(self, cache: CacheState) -> None:
         self.cache = cache
-        self.ranks = [_rank_table(cache.users, space) for space in cache.spaces]
-        self.counts = _piece_counts(cache)
-        self.offsets = [sum(self.counts[:i]) for i in range(len(self.counts))]
+        self.indices = [cache.indices(f) for f in range(1, cache.num_files + 1)]
+        self.offsets: list[int] = []
+        self.holders: list[int] = []
+        self.counts: list[int] = []
+        for row in cache.masks:
+            self.offsets.append(len(self.holders))
+            self.holders += row
+            self.counts += [len(row)] * len(row)
 
-    def cached(self, user: int) -> list[tuple[int, Pair]]:
-        """Column and piece of everything `user` caches, in column order."""
+    def needed(self, dem: Mapping[int, int]) -> dict[int, list[int]]:
+        """Per user, in user order, the ascending columns of its requested
+        file whose holder mask lacks the user's bit."""
+        out = {}
+        for k, f in sorted(dem.items()):
+            bit, start = 1 << (k - 1), self.offsets[f - 1]
+            columns = range(start, start + len(self.cache.masks[f - 1]))
+            out[k] = [c for c in columns if not self.holders[c] & bit]
+        return out
+
+    def cached(self, user: int) -> list[int]:
+        """The ascending columns `user` caches."""
         bit = 1 << (user - 1)
-        return [
-            (offset + rank, (f, idx))
-            for f, offset in enumerate(self.offsets, start=1)
-            for rank, (idx, mask) in enumerate(zip(self.cache.indices(f), self.cache.masks[f - 1]))
-            if mask & bit
-        ]
-
-    def column(self, file: int, idx: SubfileIndex) -> int:
-        rank = self.ranks[file - 1].get(idx.masks)
-        if rank is None:
-            raise ValidationError(f"unknown piece {idx} for file {file}")
-        return self.offsets[file - 1] + rank
-
-    def unit(self, file: int, idx: SubfileIndex) -> int:
-        return 1 << self.column(file, idx)
+        return [column for column, mask in enumerate(self.holders) if mask & bit]
 
     def vector(self, message: DeliveryMessage) -> int:
+        """The message's columns as a bit vector; raises for a summand
+        outside the placement."""
         vec = 0
         for f, idx in message.summands:
-            vec ^= self.unit(f, idx)
+            rank = _rank_table(self.cache.users, self.cache.spaces[f - 1]).get(idx.masks)
+            if rank is None:
+                raise ValidationError(f"unknown piece {idx} for file {f}")
+            vec ^= 1 << (self.offsets[f - 1] + rank)
         return vec
+
+    def pair(self, column: int) -> Pair:
+        file = bisect_right(self.offsets, column)
+        return (file, self.indices[file - 1][column - self.offsets[file - 1]])
+
+    def message(self, columns: Sequence[int]) -> DeliveryMessage:
+        """The message XORing these distinct, ascending columns."""
+        return DeliveryMessage(tuple(self.pair(column) for column in columns))
 
 
 @dataclass(frozen=True)
@@ -217,12 +231,9 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
     not the sum of the message sizes.
     """
     dem = normalize_demand(cache, demand)
-    layout = _ColumnLayout(cache)
-    vectors = []
-    total = Fraction(0)
-    for m in schedule.messages:
-        total += _message_size(layout.counts, m)
-        vectors.append(layout.vector(m))
+    table = _PieceTable(cache)
+    total = make_schedule(cache, schedule.messages).rate
+    vectors = [table.vector(m) for m in schedule.messages]
     if total != schedule.rate:
         raise ValidationError(
             f"schedule claims rate {schedule.rate}, but its messages sum to {total}"
@@ -230,31 +241,33 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
 
     certificates: dict[int, dict[Pair, Certificate]] = {}
     missing: dict[int, tuple[Pair, ...]] = {}
-    needs = needed_map(cache, dem)
-    for k in sorted(dem):
-        rows: list[tuple[str, object]] = []
+    for k, needed in table.needed(dem).items():
+        # rows, by tag: the user's cached columns, then the messages
+        cached = table.cached(k)
+        first_message = len(cached)
         basis = GF2Basis(track=True)
-        for column, pair in layout.cached(k):
-            rows.append(("cache", pair))
-            basis.add(1 << column, tag=len(rows) - 1)
+        for tag, column in enumerate(cached):
+            basis.add(1 << column, tag=tag)
         for i, vec in enumerate(vectors):
-            rows.append(("message", i))
-            basis.add(vec, tag=len(rows) - 1)
+            basis.add(vec, tag=first_message + i)
 
         user_certs: dict[Pair, Certificate] = {}
         user_missing: list[Pair] = []
-        for pair in sorted(needs[k], key=_pair_key):
-            combo = basis.solve(layout.unit(*pair))
+        for column in needed:
+            combo = basis.solve(1 << column)
             if combo is None:
-                user_missing.append(pair)
+                user_missing.append(table.pair(column))
                 continue
             used_cache, used_msgs = [], []
             while combo:
                 low = combo & -combo
-                kind, payload = rows[low.bit_length() - 1]
-                (used_cache if kind == "cache" else used_msgs).append(payload)
+                tag = low.bit_length() - 1
+                if tag < first_message:
+                    used_cache.append(table.pair(cached[tag]))
+                else:
+                    used_msgs.append(tag - first_message)
                 combo ^= low
-            user_certs[pair] = Certificate(tuple(used_cache), tuple(used_msgs))
+            user_certs[table.pair(column)] = Certificate(tuple(used_cache), tuple(used_msgs))
         certificates[k] = user_certs
         if user_missing:
             missing[k] = tuple(user_missing)
@@ -339,46 +352,36 @@ def toy_schedule(demand, cache: CacheState | None = None) -> DeliverySchedule:
 # Clique index shared by the greedy and exhaustive schedulers
 # ---------------------------------------------------------------------------
 
-# A piece as its sort key ``(file, masks)``: hashes and compares as a
-# plain tuple, in the same order as :func:`_pair_key`.
-Key = tuple[int, tuple[int, ...]]
 # Piece size -> per group member, the member's buckets that fit the group.
-Slots = dict[int, list[list[list[Key]]]]
+Slots = dict[int, list[list[list[int]]]]
 
 
 class _CliqueIndex:
     """Each user's uncovered pieces, bucketed by (piece size, holder mask).
 
-    A piece's holder mask has bit ``k - 1`` set iff user ``k`` caches it;
-    the masks are looked up once in ``CacheState.masks``.  Every bucket is
-    a list in ascending key order, so its head is its minimum.  A group
-    ``G`` has a slot for member ``k`` iff one of ``k``'s buckets has a mask
+    Pieces are :class:`_PieceTable` columns, and a column's holder mask has
+    bit ``k - 1`` set iff user ``k`` caches it.  Every bucket is a list in
+    ascending column order, so its head is its minimum.  A group ``G`` has
+    a slot for member ``k`` iff one of ``k``'s buckets has a mask
     containing ``G - {k}``: every piece in that bucket is needed by ``k``
     and cached by all the other members.
     """
 
-    def __init__(self, cache: CacheState, needs: Mapping[int, frozenset[Pair]]) -> None:
-        self.counts = _piece_counts(cache)
-        self.pairs: dict[Key, Pair] = {
-            _pair_key(pair): pair for pieces in needs.values() for pair in pieces
-        }
-        ranks = [_rank_table(cache.users, space) for space in cache.spaces]
-        self.holders = {
-            (f, masks): cache.masks[f - 1][ranks[f - 1][masks]] for f, masks in self.pairs
-        }
-        self.buckets: dict[int, dict[tuple[int, int], list[Key]]] = {}
-        for k, pieces in sorted(needs.items()):
-            by_bucket: dict[tuple[int, int], list[Key]] = {}
-            for key in sorted(_pair_key(pair) for pair in pieces):
-                by_bucket.setdefault(self._bucket(key), []).append(key)
+    def __init__(self, table: _PieceTable, needed: Mapping[int, list[int]]) -> None:
+        self.table = table
+        self.buckets: dict[int, dict[tuple[int, int], list[int]]] = {}
+        for k, columns in needed.items():
+            by_bucket: dict[tuple[int, int], list[int]] = {}
+            for column in columns:
+                by_bucket.setdefault(self._bucket(column), []).append(column)
             if by_bucket:
                 self.buckets[k] = by_bucket
         # cliques() per group size; valid until a bucket empties, since
         # the buckets are live lists whose heads the callers read
         self._cliques: dict[int, list[Slots]] = {}
 
-    def _bucket(self, key: Key) -> tuple[int, int]:
-        return (self.counts[key[0] - 1], self.holders[key])
+    def _bucket(self, column: int) -> tuple[int, int]:
+        return (self.table.counts[column], self.table.holders[column])
 
     def cliques(self, size: int) -> list[Slots]:
         """The slots of every group of `size` users with a slot for each
@@ -393,7 +396,7 @@ class _CliqueIndex:
         if size in self._cliques:
             return self._cliques[size]
         active = sum(1 << (k - 1) for k in self.buckets)
-        cover: dict[int, list[tuple[int, int, list[Key]]]] = {}
+        cover: dict[int, list[tuple[int, int, list[int]]]] = {}
         for k, by_bucket in self.buckets.items():
             bit = 1 << (k - 1)
             for (s, mask), bucket in by_bucket.items():
@@ -405,7 +408,7 @@ class _CliqueIndex:
             if len(fits) < size:
                 continue
             group = _users_from_mask(group_mask)
-            by_member: dict[int, dict[int, list[list[Key]]]] = {k: {} for k in group}
+            by_member: dict[int, dict[int, list[list[int]]]] = {k: {} for k in group}
             for k, s, bucket in fits:
                 by_member[k].setdefault(s, []).append(bucket)
             # summands of one XOR must be equal-size pieces
@@ -415,21 +418,22 @@ class _CliqueIndex:
         self._cliques[size] = [found[group] for group in sorted(found)]
         return self._cliques[size]
 
-    def send(self, body: Sequence[Key]) -> None:
+    def send(self, body: Sequence[int]) -> None:
         """Drop what one message delivers: each user that caches all
         summands but one decodes that one, if it still needs it."""
+        holders = self.table.holders
         for k in list(self.buckets):
             bit = 1 << (k - 1)
-            lacking = [key for key in body if not self.holders[key] & bit]
+            lacking = [column for column in body if not holders[column] & bit]
             if len(lacking) != 1:
                 continue
-            [key] = lacking
+            [column] = lacking
             by_bucket = self.buckets[k]
-            where = self._bucket(key)
+            where = self._bucket(column)
             bucket = by_bucket.get(where)
-            if bucket is None or key not in bucket:
+            if bucket is None or column not in bucket:
                 continue
-            bucket.remove(key)
+            bucket.remove(column)
             if not bucket:
                 self._cliques.clear()
                 del by_bucket[where]
@@ -460,14 +464,15 @@ def greedy_schedule(cache: CacheState, demand) -> DeliverySchedule:
        the pieces missing from any requester uncoded.
     """
     dem = normalize_demand(cache, demand)
-    needs = needed_map(cache, dem)
-    clique = _clique_pass(cache, needs)
+    table = _PieceTable(cache)
+    clique = _clique_pass(table, table.needed(dem))
     regular = _regular_pass(cache, dem)
     return clique if clique.rate <= regular.rate else regular
 
 
-def _clique_pass(cache: CacheState, needs: Mapping[int, frozenset[Pair]]) -> DeliverySchedule:
-    """Greedy cover of `needs` by clique messages, largest group first.
+def _clique_pass(table: _PieceTable, needed: Mapping[int, list[int]]) -> DeliverySchedule:
+    """Greedy cover of the `needed` columns by clique messages, largest
+    group first.
 
     The uncovered pieces sit in a :class:`_CliqueIndex` built once per
     call.  A member's cheapest summand for a group is the least head among
@@ -478,7 +483,7 @@ def _clique_pass(cache: CacheState, needs: Mapping[int, frozenset[Pair]]) -> Del
     not in S, and is redone only when a bucket empties; in between, a
     message costs one head comparison per slot.
     """
-    index = _CliqueIndex(cache, needs)
+    index = _CliqueIndex(table, needed)
     messages: list[DeliveryMessage] = []
     size = len(index.buckets)
     while index.buckets:
@@ -492,8 +497,8 @@ def _clique_pass(cache: CacheState, needs: Mapping[int, frozenset[Pair]]) -> Del
             for members in slots.values()
         )
         index.send(best)
-        messages.append(DeliveryMessage.build(index.pairs[key] for key in best))
-    return make_schedule(cache, messages)
+        messages.append(table.message(best))
+    return make_schedule(table.cache, messages)
 
 
 def _regular_pass(cache: CacheState, dem: Mapping[int, int]) -> DeliverySchedule:
@@ -535,16 +540,15 @@ def _regular_pass(cache: CacheState, dem: Mapping[int, int]) -> DeliverySchedule
 # ---------------------------------------------------------------------------
 
 _CANDIDATE_CAP = 50_000
+_MAX_SUMMANDS = 4
 
 
-def _candidate_messages(
-    cache: CacheState, needs: Mapping[int, frozenset[Pair]], max_summands: int
-) -> list[DeliveryMessage]:
-    """Clique-style candidate family: every summand is needed by one
-    participating user and cached by all the other participants."""
-    index = _CliqueIndex(cache, needs)
-    out: set[tuple[Key, ...]] = set()
-    for size in range(1, min(len(index.buckets), max_summands) + 1):
+def _candidate_messages(index: _CliqueIndex) -> list[tuple[int, ...]]:
+    """Clique-style candidate family, as sorted column tuples in ascending
+    order: every summand is needed by one participating user and cached by
+    all the other participants."""
+    out: set[tuple[int, ...]] = set()
+    for size in range(1, min(len(index.buckets), _MAX_SUMMANDS) + 1):
         for slots in index.cliques(size):
             for members in slots.values():
                 restricted = [sorted(itertools.chain.from_iterable(b)) for b in members]
@@ -555,7 +559,7 @@ def _candidate_messages(
                     )
                 for combo in itertools.product(*restricted):
                     out.add(tuple(sorted(combo)))
-    return [DeliveryMessage(tuple(index.pairs[key] for key in keys)) for keys in sorted(out)]
+    return sorted(out)
 
 
 def exhaustive_schedule(
@@ -563,7 +567,6 @@ def exhaustive_schedule(
     demand,
     *,
     max_messages: int = 12,
-    max_summands: int = 4,
     max_nodes: int = 1_000_000,
 ) -> DeliverySchedule:
     """Minimum-message schedule within the clique candidate family.
@@ -576,22 +579,17 @@ def exhaustive_schedule(
     no schedule exists within ``max_messages`` or the node budget runs out.
     """
     dem = normalize_demand(cache, demand)
-    needs = needed_map(cache, dem)
-    active = {k: v for k, v in needs.items() if v}
-    if not active:
+    table = _PieceTable(cache)
+    needed = {k: columns for k, columns in table.needed(dem).items() if columns}
+    if not needed:
         return DeliverySchedule((), Fraction(0))
 
-    layout = _ColumnLayout(cache)
-    candidates = _candidate_messages(cache, active, max_summands)
-    users = sorted(active)
-    cache_masks = {k: sum(1 << column for column, _ in layout.cached(k)) for k in users}
-    needed_units = {
-        k: [layout.unit(*pair) for pair in sorted(active[k], key=_pair_key)] for k in users
-    }
+    candidates = _candidate_messages(_CliqueIndex(table, needed))
+    users = list(needed)
+    cache_masks = {k: sum(1 << column for column in table.cached(k)) for k in users}
     # Per-candidate vectors with each user's cached coordinates zeroed out.
-    proj = [
-        {k: layout.vector(msg) & ~cache_masks[k] for k in users} for msg in candidates
-    ]
+    vectors = [sum(1 << column for column in columns) for columns in candidates]
+    proj = [{k: vec & ~cache_masks[k] for k in users} for vec in vectors]
 
     # Per-user state: (message span, message span joined with the needed
     # units, deficiency).  The deficiency rank(joined) - rank(span) is how
@@ -635,15 +633,15 @@ def exhaustive_schedule(
     root: dict[int, tuple[GF2Basis, GF2Basis, int]] = {}
     for k in users:
         joined = GF2Basis()
-        for unit in needed_units[k]:
-            joined.add(unit)
+        for column in needed[k]:
+            joined.add(1 << column)
         root[k] = (GF2Basis(), joined, joined.rank)
     lower = max(deficiency for _, _, deficiency in root.values())
 
     for depth in range(lower, max_messages + 1):
         picked = search(0, root, depth)
         if picked is not None:
-            return make_schedule(cache, (candidates[i] for i in picked))
+            return make_schedule(cache, (table.message(candidates[i]) for i in picked))
     raise BudgetExceededError(
         f"no schedule within {max_messages} messages for demand {dict(dem)}"
     )
@@ -717,6 +715,6 @@ def schedule_from_json(data: Mapping) -> DeliverySchedule:
             for m in data["messages"]
         )
         rate = Fraction(data["rate"])
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed schedule: {exc}") from exc
     return DeliverySchedule(messages, rate)

@@ -37,14 +37,23 @@ _POPULARITY_TOL = 1e-12
 Number = Fraction | float
 
 
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass, but True is no user or piece count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def _normalize_popularity(values: Sequence[Number | int | str]) -> tuple[Number, ...]:
     out: list[Number] = []
     for v in values:
         if isinstance(v, str):
+            try:
+                out.append(Fraction(v))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValidationError(f"popularity entry {v!r} is not a number") from exc
+        elif isinstance(v, (int, Fraction)) and not isinstance(v, bool):
             out.append(Fraction(v))
-        elif isinstance(v, (int, Fraction)):
-            out.append(Fraction(v))
-        elif isinstance(v, float):
+        elif isinstance(v, float) and math.isfinite(v):
             out.append(v)
         else:
             raise ValidationError(f"popularity entry {v!r} is not a number")
@@ -83,11 +92,14 @@ class PlacementConfig:
     strategy: str = "beta"
 
     def __post_init__(self) -> None:
+        _require_int("user count", self.users)
         if self.users < 1:
             raise ValidationError(f"user count must be >= 1, got {self.users}")
         if not self.groups:
             raise ValidationError("at least one group is required")
         for g in self.groups:
+            _require_int("group size", g.size)
+            _require_int("group replication", g.r)
             if g.size < 1:
                 raise ValidationError(f"group size must be >= 1, got {g.size}")
             if not 0 <= g.r <= self.users:

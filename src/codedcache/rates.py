@@ -386,6 +386,26 @@ def _level_rates(users: int, group_pop: tuple, rest) -> tuple:
     )
 
 
+def _group_level_rates(users: int, sizes: Sequence[int], pop: tuple) -> list[tuple]:
+    """:func:`_level_rates` of every contiguous group of a normalized
+    popularity, in group order."""
+    exact = all(isinstance(p, Fraction) for p in pop)
+    if not exact:
+        pop = tuple(float(p) for p in pop)
+    zero = Fraction(0) if exact else 0.0
+    out = []
+    lo = 0
+    for size in sizes:
+        hi = lo + size
+        # the other files' total, not 1 - q_g: a float popularity sums to 1
+        # only within a tolerance, and this total keeps the result equal to
+        # the sum over demands
+        rest = sum(pop[:lo], zero) + sum(pop[hi:], zero)
+        out.append(_level_rates(users, pop[lo:hi], rest))
+        lo = hi
+    return out
+
+
 def alpha_expected_rate(
     users: int,
     sizes: Sequence[int],
@@ -420,22 +440,11 @@ def alpha_expected_rate(
     shares = [memory_share(users, s, m) for s, m in zip(sizes, memories)]
     exact = all(isinstance(p, Fraction) for p in pop)
     if scheduler is None:
-        if not exact:
-            pop = tuple(float(p) for p in pop)
-        zero = Fraction(0) if exact else 0.0
-        total = zero
-        lo = 0
-        for size, share in zip(sizes, shares):
-            hi = lo + size
-            # the other files' total, not 1 - q_g: a float popularity sums
-            # to 1 only within a tolerance, and this total keeps the result
-            # equal to the sum over demands
-            rest = sum(pop[:lo], zero) + sum(pop[hi:], zero)
-            rates = _level_rates(users, pop[lo:hi], rest)
+        total = Fraction(0) if exact else 0.0
+        for rates, share in zip(_group_level_rates(users, sizes, pop), shares):
             for w, t in share:
                 if w:
                     total += w * rates[t]
-            lo = hi
         return total
 
     if n**users > limit:
@@ -492,8 +501,6 @@ def beta_points(
     sizes: Sequence[int],
     popularity: Sequence,
     scheduler: Scheduler | None = None,
-    *,
-    limit: int = ENUMERATION_LIMIT,
 ) -> tuple[RatePoint, ...]:
     """Achievable points of the cross-group strategy for one grouping:
     every valid non-increasing replication vector, rated by `scheduler`
@@ -502,7 +509,7 @@ def beta_points(
     out = []
     for r in _non_increasing_vectors(len(sizes), users):
         cfg = make_config(users, sizes, list(r), popularity, strategy="beta")
-        rate = expected_rate_exact(cfg, sched, limit=limit)
+        rate = expected_rate_exact(cfg, sched)
         out.append(RatePoint(cfg.memory, rate, label=f"beta r={r}", params=r))
     return tuple(out)
 
@@ -526,17 +533,22 @@ def alpha_points(
     max_points: int = 20_000,
 ) -> tuple[RatePoint, ...]:
     """Achievable points of the grouping baseline: every contiguous
-    grouping of the file list with every integer cache level per group."""
+    grouping of the file list with every integer cache level per group.
+
+    A point's rate is what :func:`alpha_expected_rate` gives for the
+    memories ``t_g * size_g / K``: the sum over groups of each group's
+    expected rate at its level ``t_g``."""
     pop = _normalize_popularity(popularity)
     n = len(pop)
+    zero = Fraction(0) if all(isinstance(p, Fraction) for p in pop) else 0.0
     out = []
     for comp in _compositions(n):
         count = (users + 1) ** len(comp)
         if len(out) + count > max_points:
             raise LimitExceededError(f"grouping sweep exceeds {max_points} points")
+        levels = _group_level_rates(users, comp, pop)
         for ts in itertools.product(range(users + 1), repeat=len(comp)):
-            memories = [Fraction(t * s, users) for t, s in zip(ts, comp)]
-            rate = alpha_expected_rate(users, comp, memories, pop)
+            rate = sum((rates[t] for rates, t in zip(levels, ts)), zero)
             m = Fraction(sum(t * s for t, s in zip(ts, comp)), users)
             out.append(
                 RatePoint(m, rate, label=f"alpha groups={comp} t={ts}", params=ts)

@@ -51,6 +51,35 @@ def test_place_malformed_json_exits_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "change, says",
+    [
+        ({"K": "3"}, "user count must be an integer"),
+        ({"K": 3.0}, "user count must be an integer"),
+        # r <= 1, so a K read as 1 would place without complaint
+        ({"K": True, "groups": [{"size": 1, "r": 1}, {"size": 1, "r": 0}]}, "user count"),
+        ({"groups": [{"size": 1.5, "r": 2}, {"size": 1, "r": 1}]}, "group size must be"),
+        ({"groups": [{"size": 1, "r": "2"}, {"size": 1, "r": 1}]}, "replication must be"),
+        ({"popularity": ["x", "47/200"]}, "'x' is not a number"),
+        ({"popularity": ["1/0", "1"]}, "'1/0' is not a number"),
+        ({"popularity": [float("nan"), 1.0]}, "nan is not a number"),
+        ({"popularity": [True, False]}, "True is not a number"),
+    ],
+    ids=[
+        "K-str", "K-float", "K-bool", "size-float", "r-str",
+        "pop-word", "pop-div0", "pop-nan", "pop-bool",
+    ],
+)
+def test_place_malformed_config_field_exits_2(tmp_path, capsys, change, says):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(dict(TOY, **change)), encoding="utf-8")
+    out = tmp_path / "cache.json"
+    assert main(["place", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and says in err
+    assert not out.exists()
+
+
 def test_deliver_toy_demand(toy_path, tmp_path):
     out = tmp_path / "sched.json"
     rc = main(
@@ -126,6 +155,25 @@ def test_rates_p_grid_single_point(toy_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     assert out[0] == "p,R_alpha,R_beta"
     assert out[1] == "1,0,0"
+
+
+@pytest.mark.parametrize(
+    "grid, code, stderr",
+    [
+        ("0.5:1:0.25", 0, ""),
+        ("nan:1:0.1", 2, "error:"),
+        ("0.5:1:nan", 2, "error:"),
+        ("0.5:inf:0.1", 2, "error:"),
+        ("0.5:1:abc", 2, "error:"),
+        ("0.5:1:1e-9", 4, "resource limit:"),
+    ],
+)
+def test_rates_p_grid_exit_codes(toy_path, capsys, grid, code, stderr):
+    assert main(["rates", str(toy_path), "--p-grid", grid]) == code
+    captured = capsys.readouterr()
+    assert stderr in captured.err
+    if code == 0:
+        assert len(captured.out.splitlines()) == 4  # header and three points
 
 
 def test_rates_empty_strategies_exits_2(toy_path, capsys):

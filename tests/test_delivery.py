@@ -511,3 +511,81 @@ def test_schedule_json_round_trip():
 def test_schedule_json_rejects_garbage():
     with pytest.raises(ValidationError):
         schedule_from_json({"rate": "1/3"})
+    for rate in ("abc", "1/0"):
+        with pytest.raises(ValidationError, match="malformed"):
+            schedule_from_json({"messages": [], "rate": rate})
+
+
+# ---------------------------------------------------------------------------
+# golden digests of the exhaustive schedules and the decoding certificates
+# ---------------------------------------------------------------------------
+
+# sha256 over the JSON of the exhaustive schedule for every demand vector,
+# in itertools.product order.  The search returns the first minimal subset
+# of its candidate list, so any change to that list's order shows here.
+EXHAUSTIVE_GOLDEN = {
+    (3, (1, 1), (2, 1), "beta"): "d9ef7b489bc85bce4b0098c485adfd2f281a04ffe23105972a1af999201148e4",
+    (3, (1, 1), (1, 1), "beta"): "946456322d7d276b0ef09f33a40d07949a37e99ca0a229459c24bfb1b8740c98",
+    (3, (1, 1, 1), (2, 2, 1), "beta"): "9836b5aecfeea32091b6a7923672b3953f83c8a1380003af493d9671691d3cba",
+    # piece sizes 1/4 and 1/6
+    (4, (1, 1), (3, 2), "alpha"): "891c128027229bdb3ac75649627fe37ecc8a494dea554553f978cce1ebf220ea",
+}
+
+
+@pytest.mark.parametrize("setup", EXHAUSTIVE_GOLDEN, ids=lambda s: f"K{s[0]}-{s[3]}-r{s[2]}")
+def test_exhaustive_schedules_match_golden_digest(setup):
+    users, sizes, r, strategy = setup
+    cfg = make_config(users, sizes, r, strategy=strategy)
+    cache = place(cfg)
+    digest = hashlib.sha256()
+    for demand in itertools.product(range(1, cfg.num_files + 1), repeat=users):
+        data = schedule_to_json(exhaustive_schedule(cache, demand), users, demand=demand)
+        digest.update(json.dumps(data, sort_keys=True).encode())
+    assert digest.hexdigest() == EXHAUSTIVE_GOLDEN[setup]
+
+
+def _report_json(report, demand) -> dict:
+    """Everything a decode report says, in its own iteration order."""
+
+    def piece(pair):
+        return [pair[0], [list(s) for s in pair[1].sets]]
+
+    return {
+        "demand": list(demand),
+        "ok": report.ok,
+        "certificates": [
+            [k, [[piece(p), [piece(e) for e in c.cache_entries], list(c.messages)]
+                 for p, c in certs.items()]]
+            for k, certs in report.certificates.items()
+        ],
+        "missing": [[k, [piece(p) for p in pieces]] for k, pieces in report.missing.items()],
+    }
+
+
+# sha256 over every decode report: the toy table on every demand, and on
+# two configs greedy's schedule for every demand, whole and without its
+# first message (so some pieces are reported missing).
+CERTIFICATE_GOLDEN = {
+    "toy": "70aa4da8362d76ec3ff8d837758f7e81e054e05dc2dd5b12796587630b0f2e85",
+    (4, (1, 1), (2, 1), "beta"): "610b515b937ff752ac1ad120b1d7005c4abe537e7ac8293f9aa62b51d730873d",
+    (4, (1, 1), (3, 2), "alpha"): "3cc950100e2d759f35777c13ed18e7b596b89a7596ef48cb250cee234589613a",
+}
+
+
+@pytest.mark.parametrize("setup", CERTIFICATE_GOLDEN, ids=str)
+def test_certificates_match_golden_digest(setup):
+    digest = hashlib.sha256()
+    if setup == "toy":
+        cache = toy_cache()
+        for demand in itertools.product((1, 2), repeat=3):
+            report = decodable(cache, toy_schedule(demand), demand)
+            digest.update(json.dumps(_report_json(report, demand)).encode())
+    else:
+        users, sizes, r, strategy = setup
+        cache = place(make_config(users, sizes, r, strategy=strategy))
+        for demand in itertools.product(range(1, sum(sizes) + 1), repeat=users):
+            schedule = greedy_schedule(cache, demand)
+            for messages in (schedule.messages, schedule.messages[1:]):
+                report = decodable(cache, make_schedule(cache, messages), demand)
+                digest.update(json.dumps(_report_json(report, demand)).encode())
+    assert digest.hexdigest() == CERTIFICATE_GOLDEN[setup]

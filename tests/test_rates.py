@@ -34,6 +34,7 @@ from codedcache import (
     toy_schedule,
     write_curves_csv,
 )
+from codedcache.rates import _compositions
 
 EXHAUSTIVE = lambda cache, demand: exhaustive_schedule(cache, demand)
 TOY = lambda cache, demand: toy_schedule(demand)
@@ -384,6 +385,28 @@ def test_strategy_envelopes_at_unit_cache_match_closed_forms():
     alpha_env = lower_envelope(alpha_points(3, [p, 1 - p]))
     assert beta_env.value(1) == rate_beta_closed(p)
     assert alpha_env.value(1) == rate_alpha_closed(p)
+
+
+@pytest.mark.parametrize(
+    "popularity",
+    [
+        [Fraction(1, 2), Fraction(0), Fraction(3, 10), Fraction(1, 5)],
+        [0.45, 0.3, 0.0, 0.25],
+    ],
+    ids=["exact", "float"],
+)
+def test_alpha_points_are_alpha_expected_rates(popularity):
+    # the sweep sums per-group level rates; each point must be exactly the
+    # rate alpha_expected_rate gives for the same groups and memories
+    users = 3
+    want = []
+    for comp in _compositions(len(popularity)):
+        for ts in itertools.product(range(users + 1), repeat=len(comp)):
+            memories = [Fraction(t * s, users) for t, s in zip(ts, comp)]
+            want.append(alpha_expected_rate(users, comp, memories, popularity))
+    got = [pt.rate for pt in alpha_points(users, popularity)]
+    assert got == want
+    assert [type(x) for x in got] == [type(x) for x in want]
 
 
 def test_alpha_points_guard():
