@@ -32,16 +32,22 @@ from .errors import LimitExceededError, ValidationError
 MAX_ENUMERATION = 10**6
 
 
+def _require_int(name: str, value) -> None:
+    # bool is an int subclass, but True is no user or piece count
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+
+
 def check_r_vector(users: int, r: Sequence[int]) -> tuple[int, ...]:
     """Validate a replication vector against a user count and return it as a tuple."""
+    _require_int("user count", users)
     if users < 1:
         raise ValidationError(f"user count must be >= 1, got {users}")
     rv = tuple(r)
     if not rv:
         raise ValidationError("replication vector must have at least one entry")
     for value in rv:
-        if not isinstance(value, int):
-            raise ValidationError(f"replication entries must be integers, got {value!r}")
+        _require_int("replication entry", value)
         if not 0 <= value <= users:
             raise ValidationError(f"replication entry {value} outside [0, {users}]")
     if any(a < b for a, b in zip(rv, rv[1:])):

@@ -21,6 +21,8 @@ Three schedule producers are provided:
   no optimality claim.
 * :func:`exhaustive_schedule` - minimum-message search over clique-style
   candidate messages, used as the certification oracle at desk scale.
+  Its bound per user is the needed-piece count less the pivots that land
+  on needed columns in one in-place basis of the user's message span.
 """
 
 from __future__ import annotations
@@ -576,8 +578,19 @@ def exhaustive_schedule(
     pieces from cache plus messages (chained combinations included).  The
     result is minimal within the family; no claim is made against
     arbitrary linear schedules.  Raises :class:`BudgetExceededError` when
-    no schedule exists within ``max_messages`` or the node budget runs out.
+    no schedule exists within ``max_messages`` or the node budget runs out,
+    and :class:`ValidationError` when either budget is negative.
+
+    Each user keeps one echelon basis of the messages, keyed by top bit, in
+    its own coordinates: its ``n`` needed columns at ``0..n-1``, its other
+    uncached columns above.  The rows pivoting above ``n`` span the
+    interference part, so the user's deficiency ``rank(span + needed) -
+    rank(span)``, a lower bound on the messages it still needs, is ``n``
+    less its pivots below ``n``.  Residuals are added in place and deleted
+    when their branch fails.
     """
+    if max_messages < 0 or max_nodes < 0:
+        raise ValidationError("max_messages and max_nodes must be non-negative")
     dem = normalize_demand(cache, demand)
     table = _PieceTable(cache)
     needed = {k: columns for k, columns in table.needed(dem).items() if columns}
@@ -585,22 +598,25 @@ def exhaustive_schedule(
         return DeliverySchedule((), Fraction(0))
 
     candidates = _candidate_messages(_CliqueIndex(table, needed))
-    users = list(needed)
-    cache_masks = {k: sum(1 << column for column in table.cached(k)) for k in users}
-    # Per-candidate vectors with each user's cached coordinates zeroed out.
-    vectors = [sum(1 << column for column in columns) for columns in candidates]
-    proj = [{k: vec & ~cache_masks[k] for k in users} for vec in vectors]
-
-    # Per-user state: (message span, message span joined with the needed
-    # units, deficiency).  The deficiency rank(joined) - rank(span) is how
-    # many more messages the user needs at minimum: one message adds at
-    # most one dimension, and the user is done exactly when it hits zero
-    # (every needed unit then lies in the message-plus-cache span).
+    positions = []  # per user slot: uncached column -> position
+    for k, columns in needed.items():
+        bit, wanted = 1 << (k - 1), set(columns)
+        rest = [c for c, mask in enumerate(table.holders) if not mask & bit and c not in wanted]
+        positions.append({c: p for p, c in enumerate(columns + rest)})
+    # per candidate: (user slot, its projection) for each user lacking a summand
+    proj = [
+        [(u, vec) for u, pos in enumerate(positions)
+         if (vec := sum(1 << pos[c] for c in columns if c in pos))]
+        for columns in candidates
+    ]
+    sizes = [len(columns) for columns in needed.values()]
+    deficiency = list(sizes)
+    pivots: list[dict[int, int]] = [{} for _ in sizes]
     nodes = 0
 
-    def search(start: int, state: dict, slots: int):
+    def search(start: int, slots: int):
         nonlocal nodes
-        worst = max(deficiency for _, _, deficiency in state.values())
+        worst = max(deficiency)
         if worst == 0:
             return []
         if worst > slots:
@@ -609,37 +625,30 @@ def exhaustive_schedule(
             nodes += 1
             if nodes > max_nodes:
                 raise BudgetExceededError(f"search exceeded {max_nodes} nodes")
-            new_state = None
-            for k in users:
-                span, joined, _ = state[k]
-                vec = proj[i][k]
-                if not vec or span.contains(vec):
-                    continue
-                span = span.copy()
-                span.add(vec)
-                if not joined.contains(vec):
-                    joined = joined.copy()
-                    joined.add(vec)
-                if new_state is None:
-                    new_state = dict(state)
-                new_state[k] = (span, joined, joined.rank - span.rank)
-            if new_state is None:
+            added = []
+            for u, vec in proj[i]:
+                rows = pivots[u]
+                while vec:
+                    top = vec.bit_length() - 1
+                    row = rows.get(top)
+                    if row is None:
+                        rows[top] = vec
+                        added.append((u, top))
+                        deficiency[u] -= top < sizes[u]
+                        break
+                    vec ^= row
+            if not added:
                 continue  # adds no dimension for anyone: never part of a minimal schedule
-            found = search(i + 1, new_state, slots - 1)
+            found = search(i + 1, slots - 1)
             if found is not None:
                 return [i] + found
+            for u, top in added:
+                del pivots[u][top]
+                deficiency[u] += top < sizes[u]
         return None
 
-    root: dict[int, tuple[GF2Basis, GF2Basis, int]] = {}
-    for k in users:
-        joined = GF2Basis()
-        for column in needed[k]:
-            joined.add(1 << column)
-        root[k] = (GF2Basis(), joined, joined.rank)
-    lower = max(deficiency for _, _, deficiency in root.values())
-
-    for depth in range(lower, max_messages + 1):
-        picked = search(0, root, depth)
+    for depth in range(max(sizes), max_messages + 1):
+        picked = search(0, depth)
         if picked is not None:
             return make_schedule(cache, (table.message(candidates[i]) for i in picked))
     raise BudgetExceededError(

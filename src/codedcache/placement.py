@@ -27,6 +27,7 @@ from .combinatorics import (
     SubfileIndex,
     _enumerate,
     _rank_table,
+    _require_int,
     check_r_vector,
     subpacketization,
 )
@@ -35,12 +36,6 @@ from .errors import ValidationError
 _POPULARITY_TOL = 1e-12
 
 Number = Fraction | float
-
-
-def _require_int(name: str, value) -> None:
-    # bool is an int subclass, but True is no user or piece count
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValidationError(f"{name} must be an integer, got {value!r}")
 
 
 def _normalize_popularity(values: Sequence[Number | int | str]) -> tuple[Number, ...]:
@@ -386,6 +381,7 @@ def cache_from_json(data: Mapping) -> CacheState:
     placement, or disagrees with ``K``, raises :class:`ValidationError`."""
     try:
         users = data["K"]
+        _require_int("K", users)
         spaces = [check_r_vector(users, f["r"]) for f in data["files"]]
         if len(data["users"]) != users:
             raise ValidationError(f"{len(data['users'])} user records for K = {users}")

@@ -2,10 +2,11 @@
 
 Expectations are taken over i.i.d. user requests: ``R = sum_d P(d) R(d)``
 with ``P(d)`` the product of per-file request probabilities.  Rating a
-scheduler enumerates the demands, so it is limited to ``N**K`` request
-vectors.  The grouping baseline's closed kernel needs no demand: by
-linearity of expectation its rate is a sum over groups, each taken over
-the law of the number of distinct files of the group that are requested.
+scheduler enumerates the demands, so it is limited in the number of
+demand multisets (or ``N**K`` request vectors) it rates.  The grouping
+baseline's closed kernel needs no demand: by linearity of expectation its
+rate is a sum over groups, each taken over the law of the number of
+distinct files of the group that are requested.
 When the popularity is given as exact rationals every expectation here is
 an exact ``Fraction``; floats appear only for float popularities and
 plotting grids.
@@ -85,13 +86,19 @@ def expected_rate_exact(
     costs 14/15.  For such a scheduler the result is the expected rate of
     scheduling the sorted demand and relabeling the users back, which
     both placements allow; ``symmetric=False`` gives its own expectation.
-    Exact rational popularity gives an exact rational result.
+    Exact rational popularity gives an exact rational result.  Raises
+    :class:`LimitExceededError` when the demands to rate, ``C(N+K-1, K)``
+    multisets or ``N**K`` vectors, exceed `limit`.
     """
     n, k = cfg.num_files, cfg.users
-    if n**k > limit:
+    # the demands actually rated: multisets, or every request vector
+    if symmetric:
+        count, what = comb(n + k - 1, k), "demand multisets"
+    else:
+        count, what = n**k, "request vectors"
+    if count > limit:
         raise LimitExceededError(
-            f"{n}**{k} request vectors exceed the limit {limit}; "
-            "use expected_rate_mc instead"
+            f"{count} {what} exceed the limit {limit}; use expected_rate_mc instead"
         )
     cache = place(cfg)
     exact = all(isinstance(p, Fraction) for p in cfg.popularity)

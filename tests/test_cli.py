@@ -229,6 +229,39 @@ def test_rates_alpha_sweep_matches_golden_digest(tmp_path, popularity):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ALPHA_SWEEP_GOLDEN[popularity]
 
 
+@pytest.mark.parametrize("budget, code", [("-1", 2), ("0", 4)])
+def test_rates_beta_sweep_message_budget_exit_codes(toy_path, capsys, budget, code):
+    # a negative budget is a usage error; a budget of no messages is a limit
+    argv = ["rates", str(toy_path), "--m-sweep", "--strategies", "beta", "--max-messages", budget]
+    assert main(argv) == code
+    assert ("error:" if code == 2 else "resource limit:") in capsys.readouterr().err
+
+
+# sha256 of the `rates --m-sweep --strategies beta --csv` output for K = 3
+# with N = 4 files in two groups and N = 3 in three, at fixed rational
+# popularities, taken from the two-basis exhaustive search.
+BETA_SWEEP_GOLDEN = {
+    ((2, 2), ("2/5", "3/10", "1/5", "1/10")): "eb5be6d38918b22bd47d22485353c251fda6213432dabd34a3b509d656d77919",
+    ((1, 1, 1), ("1/2", "3/10", "1/5")): "0d3e5c603417c20e5abc4813546894176c188178703d1f0eae8ec3a26ff58fb4",
+}
+
+
+@pytest.mark.parametrize("setup", BETA_SWEEP_GOLDEN, ids=lambda s: "sizes" + "-".join(map(str, s[0])))
+def test_rates_beta_sweep_matches_golden_digest(tmp_path, setup):
+    sizes, popularity = setup
+    cfg = {
+        "K": 3,
+        "strategy": "beta",
+        "groups": [{"size": size, "r": 1} for size in sizes],
+        "popularity": list(popularity),
+    }
+    path, out = tmp_path / "k3.json", tmp_path / "k3.csv"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ["rates", str(path), "--m-sweep", "--strategies", "beta", "--csv", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == BETA_SWEEP_GOLDEN[setup]
+
+
 def test_rates_alpha_sweep_beyond_the_demand_limit(tmp_path):
     # 3**13 request vectors exceed the enumeration limit; the grouping
     # baseline's expectation enumerates none of them

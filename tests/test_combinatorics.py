@@ -73,6 +73,10 @@ def test_bad_r_vectors_rejected():
         subpacketization(3, (-1,))
     with pytest.raises(ValidationError):
         subpacketization(3, ())
+    with pytest.raises(ValidationError):
+        subpacketization(True, (1,))  # bool is an int subclass, not a count
+    with pytest.raises(ValidationError):
+        subpacketization(3, (True,))
 
 
 def test_enumeration_cap():

@@ -35,6 +35,8 @@ from codedcache import (
     toy_config,
     toy_schedule,
 )
+from codedcache.delivery import _candidate_messages, _CliqueIndex, _PieceTable, normalize_demand
+from codedcache.gf2 import GF2Basis
 
 A, B = 1, 2
 
@@ -444,6 +446,91 @@ def test_exhaustive_never_worse_than_greedy():
         exact = exhaustive_schedule(cache, demand, max_messages=14)
         assert decodable(cache, exact, demand).ok
         assert exact.rate <= greedy.rate
+
+
+def test_exhaustive_rejects_negative_budgets():
+    cache = toy_cache()
+    with pytest.raises(ValidationError):
+        exhaustive_schedule(cache, (1, 2, 2), max_messages=-1)
+    with pytest.raises(ValidationError):
+        exhaustive_schedule(cache, (1, 2, 2), max_nodes=-1)
+    with pytest.raises(BudgetExceededError):
+        exhaustive_schedule(cache, (1, 2, 2), max_messages=0)
+    with pytest.raises(BudgetExceededError):
+        exhaustive_schedule(cache, (1, 2, 2), max_nodes=0)
+
+
+def test_exhaustive_node_budget_is_exact():
+    # the least budget that finds a schedule, measured on the two-basis search
+    cache = place(make_config(3, [1, 1, 1], [2, 1, 1]))
+    assert exhaustive_schedule(cache, (1, 2, 3), max_nodes=4843).rate == 1
+    with pytest.raises(BudgetExceededError, match="4842 nodes"):
+        exhaustive_schedule(cache, (1, 2, 3), max_nodes=4842)
+
+
+def two_basis_exhaustive(cache, demand, max_messages):
+    """The exhaustive search as it was before its in-place rewrite: per
+    user a basis of the message span and one of the span joined with the
+    needed units, both copied on every accepted branch, with the deficiency
+    read off their ranks.  Kept as the reference for the search tree."""
+    table = _PieceTable(cache)
+    needed = {k: c for k, c in table.needed(normalize_demand(cache, demand)).items() if c}
+    if not needed:
+        return DeliverySchedule((), Fraction(0))
+    candidates = _candidate_messages(_CliqueIndex(table, needed))
+    cache_masks = {k: sum(1 << column for column in table.cached(k)) for k in needed}
+    vectors = [sum(1 << column for column in columns) for columns in candidates]
+    proj = [{k: vec & ~cache_masks[k] for k in needed} for vec in vectors]
+
+    def search(start, state, slots):
+        worst = max(deficiency for _, _, deficiency in state.values())
+        if worst == 0:
+            return []
+        if worst > slots:
+            return None
+        for i in range(start, len(candidates)):
+            new_state = None
+            for k, (span, joined, _) in state.items():
+                vec = proj[i][k]
+                if not vec or span.contains(vec):
+                    continue
+                span = span.copy()
+                span.add(vec)
+                if not joined.contains(vec):
+                    joined = joined.copy()
+                    joined.add(vec)
+                new_state = new_state or dict(state)
+                new_state[k] = (span, joined, joined.rank - span.rank)
+            if new_state is None:
+                continue
+            found = search(i + 1, new_state, slots - 1)
+            if found is not None:
+                return [i] + found
+        return None
+
+    root = {}
+    for k, columns in needed.items():
+        joined = GF2Basis()
+        for column in columns:
+            joined.add(1 << column)
+        root[k] = (GF2Basis(), joined, joined.rank)
+    for depth in range(max(len(c) for c in needed.values()), max_messages + 1):
+        picked = search(0, root, depth)
+        if picked is not None:
+            return make_schedule(cache, (table.message(candidates[i]) for i in picked))
+    return None
+
+
+def test_exhaustive_matches_the_two_basis_search():
+    rng = random.Random(6)
+    for _ in range(150):
+        cfg, cache, demand = random_setup(rng, max_users=3)
+        expected = two_basis_exhaustive(cache, demand, max_messages=14)
+        if expected is None:
+            with pytest.raises(BudgetExceededError):
+                exhaustive_schedule(cache, demand, max_messages=14)
+        else:
+            assert exhaustive_schedule(cache, demand, max_messages=14) == expected
 
 
 def test_exhaustive_deterministic():

@@ -244,6 +244,14 @@ def test_cache_json_bytes_pinned(cfg, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+def _one_user_cache(d, users, r):
+    # the K = 1 record with JSON `true` for K or an r entry: True == 1 in
+    # Python, but it is no user count or chain level
+    d.clear()
+    d.update(cache_to_json(place_beta(make_config(1, [1], [1]))), K=users)
+    d["files"][0]["r"] = r
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -254,6 +262,8 @@ def test_cache_json_bytes_pinned(cfg, digest):
         lambda d: d["users"][1].update(user=3),
         lambda d: d["users"][0]["entries"][0].update(chains=[[1, 4], [1]]),
         lambda d: d.update(files=7),
+        lambda d: _one_user_cache(d, True, [True]),
+        lambda d: _one_user_cache(d, 1, [True]),
     ],
     ids=[
         "chain-no-piece-of-file",
@@ -263,6 +273,8 @@ def test_cache_json_bytes_pinned(cfg, digest):
         "records-out-of-order",
         "user-4-of-3",
         "files-not-a-list",
+        "K-true",
+        "r-entry-true",
     ],
 )
 def test_cache_json_rejects_bad_input(damage):

@@ -11,6 +11,7 @@ from codedcache import (
     ABOVE,
     BOUNDARY,
     VERTEX,
+    DeliverySchedule,
     LimitExceededError,
     RateCurve,
     RatePoint,
@@ -77,6 +78,16 @@ def test_enumeration_limit_points_to_monte_carlo():
     cfg = make_config(3, [2, 2], [1, 0], [Fraction(1, 4)] * 4)
     with pytest.raises(LimitExceededError, match="expected_rate_mc"):
         expected_rate_exact(cfg, EXHAUSTIVE, limit=10)
+
+
+def test_enumeration_limit_counts_the_multisets_rated():
+    # 2**20 request vectors exceed the default limit, but symmetric rating
+    # visits only the 21 demand multisets
+    cfg = make_config(20, [2], [0], [Fraction(1, 2)] * 2)
+    distinct = lambda cache, demand: DeliverySchedule((), Fraction(len(set(demand))))
+    assert expected_rate_exact(cfg, distinct) == 2 - Fraction(2, 2**20)
+    with pytest.raises(LimitExceededError, match="request vectors"):
+        expected_rate_exact(cfg, distinct, symmetric=False)
 
 
 def test_float_popularity_gives_float_rate():
