@@ -5,8 +5,9 @@ Subcommands
     deliver  build (and optionally verify) delivery schedules
     rates    emit rate curves as CSV
 
-Exit codes: 0 success, 2 usage/validation error, 3 verification failure,
-4 resource limit exceeded.  Every file output gets a sibling
+Exit codes: 0 success, 2 usage/validation error (including a path that
+cannot be read or written), 3 verification failure, 4 resource limit
+exceeded.  Every file output gets a sibling
 ``<name>.manifest.json`` recording how it was produced.  Outputs are
 deterministic for a given config and seed, except manifest timestamps.
 """
@@ -24,7 +25,7 @@ from pathlib import Path
 from . import __version__
 from .delivery import SCHEDULERS, decodable, exhaustive_schedule, schedule_to_json
 from .errors import LimitExceededError, ValidationError
-from .placement import cache_to_json, load_config, place
+from .placement import cache_json_text, load_config, place
 from .rates import (
     ENUMERATION_LIMIT,
     RateCurve,
@@ -106,7 +107,7 @@ def cmd_place(args) -> int:
     cfg = load_config(args.config)
     cache = place(cfg)
     out = Path(args.out)
-    out.write_text(json.dumps(cache_to_json(cache), indent=2) + "\n", encoding="utf-8")
+    out.write_text(cache_json_text(cache), encoding="utf-8")
     _write_manifest(out, "place", args.config)
     print(f"wrote {out}")
     return EXIT_OK
@@ -255,7 +256,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else EXIT_OK
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
+        # OSError: a config that cannot be read or an output that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except LimitExceededError as exc:

@@ -73,6 +73,7 @@ def subpacketization(users: int, r: Sequence[int]) -> int:
 def _mask_from_users(members: Iterable[int], users: int) -> int:
     mask = 0
     for k in members:
+        _require_int("user", k)
         if not 1 <= k <= users:
             raise ValidationError(f"user {k} outside [1, {users}]")
         bit = 1 << (k - 1)
@@ -176,6 +177,14 @@ def enumerate_indices(users: int, r: Sequence[int]) -> tuple[SubfileIndex, ...]:
 @lru_cache(maxsize=None)
 def _rank_table(users: int, r: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     return {idx.masks: i for i, idx in enumerate(_enumerate(users, r))}
+
+
+@lru_cache(maxsize=None)
+def _sets_table(users: int, r: tuple[int, ...]) -> dict[tuple[tuple[int, ...], ...], int]:
+    """Rank of each chain keyed by its sorted user tuples, the form the
+    cache JSON lists it in.  A key of equal ints of another type, such as
+    ``(1.0, 2.0)`` or ``(True, 2)``, also hits, so callers check the types."""
+    return {idx.sets: i for i, idx in enumerate(_enumerate(users, r))}
 
 
 def index_rank(idx: SubfileIndex, users: int, r: Sequence[int]) -> int:

@@ -28,6 +28,8 @@ from .combinatorics import (
     _enumerate,
     _rank_table,
     _require_int,
+    _sets_table,
+    _users_from_mask,
     check_r_vector,
     subpacketization,
 )
@@ -347,57 +349,114 @@ def load_config(path) -> PlacementConfig:
     return config_from_json(data)
 
 
+def _nl(depth: int) -> str:
+    """A line break and the indent of a value ``depth`` levels deep."""
+    return "\n" + "  " * depth
+
+
+def _list_parts(items: Sequence[Sequence[str]], depth: int) -> list[str]:
+    """The text of a JSON list that opens ``depth`` levels deep, in parts,
+    laid out as ``json.dumps(..., indent=2)`` lays it out; each item is
+    given as the parts of its own text."""
+    if not items:
+        return ["[]"]
+    parts = ["[" + _nl(depth + 1)]
+    sep = "," + _nl(depth + 1)
+    for item in items:
+        parts += item
+        parts.append(sep)
+    parts[-1] = _nl(depth) + "]"
+    return parts
+
+
+def cache_json_text(cache: CacheState) -> str:
+    """The cache JSON file's text: ``json.dumps(..., indent=2)`` of the
+    record plus a final newline, byte for byte.
+
+    This function owns the layout; :func:`cache_to_json` is parsed from its
+    text.  Each user record lists, per file in rank order, the chains of
+    the pieces the user holds.  Every user subset is rendered once, every
+    piece's entry once per file, and the entry is shared by the holders
+    found by walking the set bits of its mask; the parts are joined once.
+    """
+    holders: list[list[tuple[str]]] = [[] for _ in range(cache.users)]
+    chains: dict[tuple[int, ...], list[str]] = {}
+    for f, (space, row) in enumerate(zip(cache.spaces, cache.masks), start=1):
+        if space not in chains:
+            # an entry sits 4 levels deep (top, users, user, entries), so
+            # its chains open 5 levels deep and their user subsets 6
+            pieces = _enumerate(cache.users, space)
+            subsets = {
+                m: (json.dumps(_users_from_mask(m), indent=2).replace("\n", _nl(6)),)
+                for m in {m for idx in pieces for m in idx.masks}
+            }
+            chains[space] = [
+                "".join(_list_parts([subsets[m] for m in idx.masks], 5)) for idx in pieces
+            ]
+        head = "{" + _nl(5) + f'"file": {f},' + _nl(5) + '"chains": '
+        tail = _nl(4) + "}"
+        for mask, block in zip(row, chains[space]):
+            if mask:
+                entry = (head + block + tail,)
+                while mask:
+                    low = mask & -mask
+                    holders[low.bit_length() - 1].append(entry)
+                    mask ^= low
+    files = [
+        {"file": f, "r": list(space), "subpacketization": len(row)}
+        for f, (space, row) in enumerate(zip(cache.spaces, cache.masks), start=1)
+    ]
+    users = [
+        ["{" + _nl(3) + f'"user": {k},' + _nl(3) + '"entries": ']
+        + _list_parts(entries, 3)
+        + [_nl(2) + "}"]
+        for k, entries in enumerate(holders, start=1)
+    ]
+    top = (
+        "{" + _nl(1) + f'"K": {json.dumps(cache.users)},'
+        + _nl(1) + '"files": ' + json.dumps(files, indent=2).replace("\n", _nl(1)) + ","
+        + _nl(1) + '"users": '
+    )
+    return "".join([top, *_list_parts(users, 1), "\n}\n"])
+
+
 def cache_to_json(cache: CacheState) -> dict:
-    chains = {
-        space: [idx.sets for idx in _enumerate(cache.users, space)] for space in set(cache.spaces)
-    }
-    return {
-        "K": cache.users,
-        "files": [
-            {
-                "file": i + 1,
-                "r": list(space),
-                "subpacketization": cache.subpacketization(i + 1),
-            }
-            for i, space in enumerate(cache.spaces)
-        ],
-        "users": [
-            {
-                "user": k,
-                "entries": [
-                    {"file": f, "chains": [list(s) for s in sets]}
-                    for f, (space, row) in enumerate(zip(cache.spaces, cache.masks), start=1)
-                    for mask, sets in zip(row, chains[space])
-                    if mask >> (k - 1) & 1
-                ],
-            }
-            for k in range(1, cache.users + 1)
-        ],
-    }
+    """The cache JSON record, parsed from :func:`cache_json_text`."""
+    return json.loads(cache_json_text(cache))
 
 
 def cache_from_json(data: Mapping) -> CacheState:
     """Read a cache state back; a record that names no piece of the
-    placement, or disagrees with ``K``, raises :class:`ValidationError`."""
+    placement, or disagrees with ``K``, raises :class:`ValidationError`.
+
+    An entry's chains are looked up as sorted user tuples; chains in
+    another order, or with a user id that is not exactly an ``int``, take
+    the slower path that builds their masks and checks every user."""
     try:
         users = data["K"]
         _require_int("K", users)
         spaces = [check_r_vector(users, f["r"]) for f in data["files"]]
         if len(data["users"]) != users:
             raise ValidationError(f"{len(data['users'])} user records for K = {users}")
+        tables = [_sets_table(users, space) for space in spaces]
         ranks = [_rank_table(users, space) for space in spaces]
         masks = [[0] * len(table) for table in ranks]
         for k, u in enumerate(data["users"], start=1):
+            _require_int("user record", u["user"])
             if u["user"] != k:
                 raise ValidationError(f"user record {u['user']!r} in position {k}")
             for e in u["entries"]:
-                f = e["file"]
+                f, chains = e["file"], e["chains"]
+                _require_int("file", f)
                 if not 1 <= f <= len(spaces):
                     raise ValidationError(f"file {f} outside [1, {len(spaces)}]")
-                idx = SubfileIndex.from_sets(e["chains"], users)
-                rank = ranks[f - 1].get(idx.masks)
-                if rank is None:
-                    raise ValidationError(f"{idx.sets} is no piece of file {f}")
+                key = tuple(map(tuple, chains))
+                rank = tables[f - 1].get(key)
+                if rank is None or not all(type(v) is int for s in key for v in s):
+                    idx = SubfileIndex.from_sets(chains, users)
+                    rank = ranks[f - 1].get(idx.masks)
+                    if rank is None:
+                        raise ValidationError(f"{idx.sets} is no piece of file {f}")
                 masks[f - 1][rank] |= 1 << (k - 1)
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed cache state: {exc}") from exc

@@ -436,7 +436,8 @@ def alpha_expected_rate(
     reused across calls.  With `scheduler` set (e.g. the exhaustive
     solver) per-group rates come from actual schedules on the per-group
     placements, summed over every demand multiset; that path raises
-    :class:`LimitExceededError` when ``N**K`` exceeds `limit`.
+    :class:`LimitExceededError` when the ``C(N+K-1, K)`` multisets exceed
+    `limit`.
     """
     if len(sizes) != len(memories):
         raise ValidationError("sizes and memories must have the same length")
@@ -454,8 +455,9 @@ def alpha_expected_rate(
                     total += w * rates[t]
         return total
 
-    if n**users > limit:
-        raise LimitExceededError(f"{n}**{users} request vectors exceed the limit {limit}")
+    count = comb(n + users - 1, users)
+    if count > limit:
+        raise LimitExceededError(f"{count} demand multisets exceed the limit {limit}")
     starts = [1 + sum(sizes[:i]) for i in range(len(sizes))]
     piece_caches: dict[tuple[int, int], CacheState] = {}
     for gi, size in enumerate(sizes):

@@ -80,6 +80,44 @@ def test_place_malformed_config_field_exits_2(tmp_path, capsys, change, says):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["place", "{tmp}/missing.json", "--out", "{tmp}/cache.json"],
+        ["place", "{toy}", "--out", "{tmp}/no-dir/cache.json"],
+        ["rates", "{toy}", "--p-grid", "0.5", "--csv", "{tmp}/no-dir/rates.csv"],
+    ],
+    ids=["place-missing-config", "place-out-missing-dir", "rates-csv-missing-dir"],
+)
+def test_unusable_path_exits_2(toy_path, tmp_path, capsys, argv):
+    argv = [a.format(tmp=tmp_path, toy=toy_path) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+# sha256 of the `place --out` file for the two K = 10 configs that the
+# benchmark writes, taken before the cache JSON was rendered from the masks
+PLACE_OUT_GOLDEN = [
+    ("beta", [1, 2, 2], [5, 2, 1], "bf8fe37dd964dc50cdf630f5227d34cee442f0d0d3d39008d1a927c367ef0105"),
+    ("alpha", [2, 3], [4, 1], "6aa015552786833274daae95e726858a3a2b236e3171c9a0d3d63f5bf01d0771"),
+]
+
+
+@pytest.mark.parametrize("strategy, sizes, r, digest", PLACE_OUT_GOLDEN, ids=["beta", "alpha"])
+def test_place_out_bytes_pinned(tmp_path, strategy, sizes, r, digest):
+    # the placement ignores popularity, so uniform stands in for any
+    cfg = {
+        "K": 10,
+        "strategy": strategy,
+        "groups": [{"size": n, "r": v} for n, v in zip(sizes, r)],
+        "popularity": [f"1/{sum(sizes)}"] * sum(sizes),
+    }
+    path, out = tmp_path / "k10.json", tmp_path / "k10-cache.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["place", str(path), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_deliver_toy_demand(toy_path, tmp_path):
     out = tmp_path / "sched.json"
     rc = main(

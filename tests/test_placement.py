@@ -4,12 +4,15 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codedcache import (
     CacheState,
     SubfileIndex,
     ValidationError,
     cache_from_json,
+    cache_json_text,
     cache_to_json,
     config_from_json,
     config_to_json,
@@ -264,6 +267,11 @@ def _one_user_cache(d, users, r):
         lambda d: d.update(files=7),
         lambda d: _one_user_cache(d, True, [True]),
         lambda d: _one_user_cache(d, 1, [True]),
+        # the first entry is file 1's piece [[1, 2], [1]]; True == 1.0 == 1
+        lambda d: d["users"][0]["entries"][0].update(chains=[[True, 2], [True]]),
+        lambda d: d["users"][0]["entries"][0].update(chains=[[1.0, 2.0], [1.0]]),
+        lambda d: d["users"][0]["entries"][0].update(file=True),
+        lambda d: d["users"][0].update(user=True),
     ],
     ids=[
         "chain-no-piece-of-file",
@@ -275,6 +283,10 @@ def _one_user_cache(d, users, r):
         "files-not-a-list",
         "K-true",
         "r-entry-true",
+        "chain-user-true",
+        "chain-user-float",
+        "file-true",
+        "user-record-true",
     ],
 )
 def test_cache_json_rejects_bad_input(damage):
@@ -282,6 +294,31 @@ def test_cache_json_rejects_bad_input(damage):
     damage(data)
     with pytest.raises(ValidationError):
         cache_from_json(data)
+
+
+@st.composite
+def configs(draw):
+    users = draw(st.integers(1, 6))
+    levels = draw(st.integers(1, 3))
+    sizes = draw(st.lists(st.integers(1, 2), min_size=levels, max_size=levels))
+    r = draw(st.lists(st.integers(0, users), min_size=levels, max_size=levels))
+    strategy = draw(st.sampled_from(["beta", "alpha"]))
+    if strategy == "beta":
+        r.sort(reverse=True)
+    return make_config(users, sizes, r, strategy=strategy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(configs())
+@example(make_config(1, [1], [1]))
+@example(make_config(1, [2], [0], strategy="alpha"))
+@example(make_config(4, [1, 2], [2, 0]))
+@example(make_config(4, [2, 1], [0, 3], strategy="alpha"))
+def test_cache_json_text_is_the_record_laid_out(cfg):
+    cache = place(cfg)
+    text = cache_json_text(cache)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert cache_from_json(json.loads(text)) == cache
 
 
 def test_cache_state_validates_masks():

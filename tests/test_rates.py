@@ -24,6 +24,7 @@ from codedcache import (
     exhaustive_schedule,
     expected_rate_exact,
     expected_rate_mc,
+    greedy_schedule,
     lower_envelope,
     make_config,
     memory_rate_table,
@@ -358,11 +359,19 @@ def test_alpha_expectation_float_popularity(case):
 
 
 def test_alpha_closed_kernel_has_no_demand_limit():
-    # 3**13 request vectors: only the scheduler path enumerates them
+    # C(15, 13) = 105 demand multisets: only the scheduler path enumerates them
     p = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
     assert alpha_expected_rate(13, [3], [Fraction(0)], p) == sum(1 - (1 - x) ** 13 for x in p)
     with pytest.raises(LimitExceededError):
-        alpha_expected_rate(13, [3], [Fraction(0)], p, scheduler=EXHAUSTIVE)
+        alpha_expected_rate(13, [3], [Fraction(0)], p, scheduler=EXHAUSTIVE, limit=104)
+
+
+def test_alpha_scheduler_path_counts_the_multisets_rated():
+    # 2**20 request vectors exceed the default limit, but the scheduler
+    # path rates only the 21 demand multisets
+    half = [Fraction(1, 2)] * 2
+    got = alpha_expected_rate(20, [2], [Fraction(0)], half, scheduler=greedy_schedule)
+    assert got == 2 - Fraction(2, 2**20)
 
 
 def test_alpha_validates_shapes():
