@@ -42,6 +42,9 @@ EXIT_USAGE = 2
 EXIT_VERIFY = 3
 EXIT_LIMIT = 4
 
+# most request vectors deliver --all-demands schedules
+_DEMAND_LIMIT = 4096
+
 
 def _write_manifest(out_path: Path, command: str, config: str, seed=None, outputs=None) -> None:
     manifest = {
@@ -118,9 +121,9 @@ def cmd_deliver(args) -> int:
     cache = place(cfg)
     scheduler = SCHEDULERS[args.scheduler]
     if args.all_demands:
-        if cfg.num_files**cfg.users > args.demand_limit:
+        if cfg.num_files**cfg.users > _DEMAND_LIMIT:
             raise LimitExceededError(
-                f"{cfg.num_files}**{cfg.users} demands exceed --demand-limit"
+                f"{cfg.num_files}**{cfg.users} demands exceed the limit {_DEMAND_LIMIT}"
             )
         demands = list(itertools.product(range(1, cfg.num_files + 1), repeat=cfg.users))
     else:
@@ -179,11 +182,9 @@ def cmd_rates(args) -> int:
     else:
         envelopes = {}
         if "beta" in strategies:
-            sched = lambda cache, demand: exhaustive_schedule(
-                cache, demand, max_messages=args.max_messages
-            )
+            sizes = [g.size for g in cfg.groups]
             envelopes["beta"] = lower_envelope(
-                beta_points(cfg.users, [g.size for g in cfg.groups], cfg.popularity, sched)
+                beta_points(cfg.users, sizes, cfg.popularity, exhaustive_schedule)
             )
         if "alpha" in strategies:
             envelopes["alpha"] = lower_envelope(
@@ -233,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_del.add_argument("--verify", action="store_true")
     p_del.add_argument("--out")
     p_del.add_argument("--print-text", action="store_true")
-    p_del.add_argument("--demand-limit", type=int, default=4096)
     p_del.set_defaults(func=cmd_deliver)
 
     p_rates = sub.add_parser("rates", help="emit rate curves as CSV")
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid.add_argument("--m-sweep", action="store_true", help="rate vs cache size")
     p_rates.add_argument("--strategies", default="alpha,beta")
     p_rates.add_argument("--csv")
-    p_rates.add_argument("--max-messages", type=int, default=12)
     p_rates.set_defaults(func=cmd_rates)
     return parser
 

@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
-from .combinatorics import SubfileIndex, _rank_table, _users_from_mask
+from .combinatorics import SubfileIndex, _rank_table, _require_int, _users_from_mask
 from .errors import BudgetExceededError, UnsupportedConfigError, ValidationError
 from .gf2 import GF2Basis
 from .placement import CacheState, place_beta, toy_config
@@ -121,6 +121,8 @@ def normalize_demand(cache: CacheState, demand) -> dict[int, int]:
             )
         items = {k + 1: f for k, f in enumerate(vec)}
     for k, f in items.items():
+        _require_int("user", k)
+        _require_int("file", f)
         if not 1 <= k <= cache.users:
             raise ValidationError(f"user {k} outside [1, {cache.users}]")
         if not 1 <= f <= cache.num_files:
@@ -172,10 +174,14 @@ class _PieceTable:
         file whose holder mask lacks the user's bit."""
         out = {}
         for k, f in sorted(dem.items()):
-            bit, start = 1 << (k - 1), self.offsets[f - 1]
-            columns = range(start, start + len(self.cache.masks[f - 1]))
-            out[k] = [c for c in columns if not self.holders[c] & bit]
+            bit = 1 << (k - 1)
+            out[k] = [c for c in self.columns(f) if not self.holders[c] & bit]
         return out
+
+    def columns(self, file: int) -> range:
+        """The columns of `file`'s pieces, in rank order."""
+        start = self.offsets[file - 1]
+        return range(start, start + len(self.cache.masks[file - 1]))
 
     def cached(self, user: int) -> list[int]:
         """The ascending columns `user` caches."""
@@ -247,7 +253,7 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
         # rows, by tag: the user's cached columns, then the messages
         cached = table.cached(k)
         first_message = len(cached)
-        basis = GF2Basis(track=True)
+        basis = GF2Basis()
         for tag, column in enumerate(cached):
             basis.add(1 << column, tag=tag)
         for i, vec in enumerate(vectors):
@@ -468,7 +474,7 @@ def greedy_schedule(cache: CacheState, demand) -> DeliverySchedule:
     dem = normalize_demand(cache, demand)
     table = _PieceTable(cache)
     clique = _clique_pass(table, table.needed(dem))
-    regular = _regular_pass(cache, dem)
+    regular = _regular_pass(table, dem)
     return clique if clique.rate <= regular.rate else regular
 
 
@@ -503,38 +509,38 @@ def _clique_pass(table: _PieceTable, needed: Mapping[int, list[int]]) -> Deliver
     return make_schedule(table.cache, messages)
 
 
-def _regular_pass(cache: CacheState, dem: Mapping[int, int]) -> DeliverySchedule:
+def _regular_pass(table: _PieceTable, dem: Mapping[int, int]) -> DeliverySchedule:
+    holders, users = table.holders, table.cache.users
     messages: list[DeliveryMessage] = []
     for file in sorted(set(dem.values())):
         requesters = sorted(k for k, f in dem.items() if f == file)
-        pieces = list(zip(cache.indices(file), cache.masks[file - 1]))
-        degrees = {mask.bit_count() for _, mask in pieces}
+        columns = table.columns(file)
+        degrees = {holders[c].bit_count() for c in columns}
         regular = False
         if len(degrees) == 1:
             t = degrees.pop()
-            if t == cache.users:
+            if t == users:
                 continue  # fully cached everywhere, nothing to send
-            classes: dict[int, list[SubfileIndex]] = {}
-            for idx, mask in pieces:  # already in canonical order
-                classes.setdefault(mask, []).append(idx)
+            classes: dict[int, list[int]] = {}
+            for c in columns:
+                classes.setdefault(holders[c], []).append(c)
             sizes = {len(v) for v in classes.values()}
-            regular = len(classes) == comb(cache.users, t) and len(sizes) == 1
+            regular = len(classes) == comb(users, t) and len(sizes) == 1
         if regular:
             slice_count = len(next(iter(classes.values())))
             leader = requesters[0]
-            for team in itertools.combinations(range(1, cache.users + 1), t + 1):
+            for team in itertools.combinations(range(1, users + 1), t + 1):
                 if leader not in team:
                     continue
                 bits = [1 << (k - 1) for k in team]
                 for j in range(slice_count):
-                    pairs = [(file, classes[sum(bits) - bit][j]) for bit in bits]
-                    messages.append(DeliveryMessage.build(pairs))
+                    # one column from each class: distinct, so none cancel
+                    body = sorted(classes[sum(bits) - bit][j] for bit in bits)
+                    messages.append(table.message(body))
         else:
             wanted = sum(1 << (k - 1) for k in requesters)
-            messages.extend(
-                DeliveryMessage.build([(file, idx)]) for idx, mask in pieces if wanted & ~mask
-            )
-    return make_schedule(cache, messages)
+            messages.extend(table.message([c]) for c in columns if wanted & ~holders[c])
+    return make_schedule(table.cache, messages)
 
 
 # ---------------------------------------------------------------------------
@@ -543,6 +549,8 @@ def _regular_pass(cache: CacheState, dem: Mapping[int, int]) -> DeliverySchedule
 
 _CANDIDATE_CAP = 50_000
 _MAX_SUMMANDS = 4
+_MAX_MESSAGES = 12
+_MAX_NODES = 1_000_000
 
 
 def _candidate_messages(index: _CliqueIndex) -> list[tuple[int, ...]]:
@@ -564,13 +572,7 @@ def _candidate_messages(index: _CliqueIndex) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def exhaustive_schedule(
-    cache: CacheState,
-    demand,
-    *,
-    max_messages: int = 12,
-    max_nodes: int = 1_000_000,
-) -> DeliverySchedule:
+def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
     """Minimum-message schedule within the clique candidate family.
 
     Iterative-deepening search with span-based feasibility: a depth-``c``
@@ -578,8 +580,8 @@ def exhaustive_schedule(
     pieces from cache plus messages (chained combinations included).  The
     result is minimal within the family; no claim is made against
     arbitrary linear schedules.  Raises :class:`BudgetExceededError` when
-    no schedule exists within ``max_messages`` or the node budget runs out,
-    and :class:`ValidationError` when either budget is negative.
+    no schedule exists within ``_MAX_MESSAGES`` messages or the search
+    visits more than ``_MAX_NODES`` nodes.
 
     Each user keeps one echelon basis of the messages, keyed by top bit, in
     its own coordinates: its ``n`` needed columns at ``0..n-1``, its other
@@ -589,8 +591,6 @@ def exhaustive_schedule(
     less its pivots below ``n``.  Residuals are added in place and deleted
     when their branch fails.
     """
-    if max_messages < 0 or max_nodes < 0:
-        raise ValidationError("max_messages and max_nodes must be non-negative")
     dem = normalize_demand(cache, demand)
     table = _PieceTable(cache)
     needed = {k: columns for k, columns in table.needed(dem).items() if columns}
@@ -612,7 +612,7 @@ def exhaustive_schedule(
     sizes = [len(columns) for columns in needed.values()]
     deficiency = list(sizes)
     pivots: list[dict[int, int]] = [{} for _ in sizes]
-    nodes = 0
+    budget, nodes = _MAX_NODES, 0
 
     def search(start: int, slots: int):
         nonlocal nodes
@@ -623,8 +623,8 @@ def exhaustive_schedule(
             return None
         for i in range(start, len(candidates)):
             nodes += 1
-            if nodes > max_nodes:
-                raise BudgetExceededError(f"search exceeded {max_nodes} nodes")
+            if nodes > budget:
+                raise BudgetExceededError(f"search exceeded {budget} nodes")
             added = []
             for u, vec in proj[i]:
                 rows = pivots[u]
@@ -647,12 +647,12 @@ def exhaustive_schedule(
                 deficiency[u] += top < sizes[u]
         return None
 
-    for depth in range(max(sizes), max_messages + 1):
+    for depth in range(max(sizes), _MAX_MESSAGES + 1):
         picked = search(0, depth)
         if picked is not None:
             return make_schedule(cache, (table.message(candidates[i]) for i in picked))
     raise BudgetExceededError(
-        f"no schedule within {max_messages} messages for demand {dict(dem)}"
+        f"no schedule within {_MAX_MESSAGES} messages for demand {dict(dem)}"
     )
 
 
@@ -662,7 +662,7 @@ Scheduler = Callable[[CacheState, object], DeliverySchedule]
 SCHEDULERS: dict[str, Scheduler] = {
     "toy": lambda cache, demand: toy_schedule(demand, cache),
     "greedy": greedy_schedule,
-    "exhaustive": lambda cache, demand: exhaustive_schedule(cache, demand),
+    "exhaustive": exhaustive_schedule,
 }
 
 

@@ -4,22 +4,21 @@ from __future__ import annotations
 
 
 class GF2Basis:
-    """Row basis over GF(2) with optional combination tracking.
+    """Row basis over GF(2) with combination tracking.
 
-    Vectors are Python ints (bit ``c`` = coordinate ``c``).  With
-    ``track=True`` every basis row remembers which inserted rows it is a
-    sum of, so :meth:`solve` can return a decoding certificate.
+    Vectors are Python ints (bit ``c`` = coordinate ``c``).  Every basis
+    row remembers which inserted rows it is a sum of, so :meth:`solve` can
+    return a decoding certificate.
     """
 
-    __slots__ = ("pivots", "combos", "track")
+    __slots__ = ("pivots", "combos")
 
-    def __init__(self, track: bool = False) -> None:
+    def __init__(self) -> None:
         self.pivots: dict[int, int] = {}
         self.combos: dict[int, int] = {}
-        self.track = track
 
     def copy(self) -> "GF2Basis":
-        other = GF2Basis(self.track)
+        other = GF2Basis()
         other.pivots = dict(self.pivots)
         other.combos = dict(self.combos)
         return other
@@ -32,20 +31,18 @@ class GF2Basis:
             if row is None:
                 break
             vec ^= row
-            if self.track:
-                combo ^= self.combos[top]
+            combo ^= self.combos[top]
         return vec, combo
 
     def add(self, vec: int, tag: int | None = None) -> bool:
         """Insert `vec`; return True if it enlarged the span."""
-        combo = (1 << tag) if (self.track and tag is not None) else 0
+        combo = 0 if tag is None else 1 << tag
         vec, combo = self.reduce(vec, combo)
         if not vec:
             return False
         top = vec.bit_length() - 1
         self.pivots[top] = vec
-        if self.track:
-            self.combos[top] = combo
+        self.combos[top] = combo
         return True
 
     def contains(self, vec: int) -> bool:

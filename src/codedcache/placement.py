@@ -427,7 +427,8 @@ def cache_to_json(cache: CacheState) -> dict:
 
 def cache_from_json(data: Mapping) -> CacheState:
     """Read a cache state back; a record that names no piece of the
-    placement, or disagrees with ``K``, raises :class:`ValidationError`.
+    placement, disagrees with ``K`` or with the file records, or lists a
+    piece twice for one user raises :class:`ValidationError`.
 
     An entry's chains are looked up as sorted user tuples; chains in
     another order, or with a user id that is not exactly an ``int``, take
@@ -441,10 +442,21 @@ def cache_from_json(data: Mapping) -> CacheState:
         tables = [_sets_table(users, space) for space in spaces]
         ranks = [_rank_table(users, space) for space in spaces]
         masks = [[0] * len(table) for table in ranks]
+        for f, (record, row) in enumerate(zip(data["files"], masks), start=1):
+            _require_int("file record", record["file"])
+            if record["file"] != f:
+                raise ValidationError(f"file record {record['file']} in position {f}")
+            _require_int("subpacketization", record["subpacketization"])
+            if record["subpacketization"] != len(row):
+                raise ValidationError(
+                    f"file {f} claims subpacketization {record['subpacketization']}, "
+                    f"its r gives {len(row)}"
+                )
         for k, u in enumerate(data["users"], start=1):
             _require_int("user record", u["user"])
             if u["user"] != k:
                 raise ValidationError(f"user record {u['user']!r} in position {k}")
+            bit = 1 << (k - 1)
             for e in u["entries"]:
                 f, chains = e["file"], e["chains"]
                 _require_int("file", f)
@@ -457,7 +469,10 @@ def cache_from_json(data: Mapping) -> CacheState:
                     rank = ranks[f - 1].get(idx.masks)
                     if rank is None:
                         raise ValidationError(f"{idx.sets} is no piece of file {f}")
-                masks[f - 1][rank] |= 1 << (k - 1)
+                row = masks[f - 1]
+                if row[rank] & bit:
+                    raise ValidationError(f"user {k} lists a piece of file {f} twice")
+                row[rank] |= bit
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed cache state: {exc}") from exc
     return CacheState(users, tuple(spaces), tuple(tuple(row) for row in masks))

@@ -2,11 +2,12 @@
 
 Expectations are taken over i.i.d. user requests: ``R = sum_d P(d) R(d)``
 with ``P(d)`` the product of per-file request probabilities.  Rating a
-scheduler enumerates the demands, so it is limited in the number of
-demand multisets (or ``N**K`` request vectors) it rates.  The grouping
-baseline's closed kernel needs no demand: by linearity of expectation its
-rate is a sum over groups, each taken over the law of the number of
-distinct files of the group that are requested.
+scheduler enumerates the ``C(N+K-1, K)`` demand multisets, at most
+``ENUMERATION_LIMIT`` of them, and schedules each at its sorted
+representative.  The grouping baseline's closed kernel needs no demand:
+by linearity of expectation its rate is a sum over groups, each taken
+over the law of the number of distinct files of the group that are
+requested.
 When the popularity is given as exact rationals every expectation here is
 an exact ``Fraction``; floats appear only for float popularities and
 plotting grids.
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import bisect, minimize_scalar
@@ -42,6 +43,8 @@ Number = Fraction | float
 
 ENUMERATION_LIMIT = 10**6
 ROOT_TOLERANCE = 1e-9
+# most (M, R) points alpha_points lists
+_MAX_POINTS = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -66,56 +69,59 @@ def _probability(popularity: Sequence[Number], counts: Mapping[int, int], exact:
     return prob
 
 
-def expected_rate_exact(
-    cfg: PlacementConfig,
-    scheduler: Scheduler,
-    *,
-    symmetric: bool = True,
-    limit: int = ENUMERATION_LIMIT,
+def _multiset_expectation(
+    popularity: Sequence[Number],
+    users: int,
+    make_rate: Callable[[], Callable[[tuple[int, ...]], Number]],
 ):
+    """``sum weight * P(rep) * rate(rep)`` over the demand multisets.
+
+    ``rep`` is a multiset's sorted representative and ``weight`` the number
+    of request vectors that sort to it; ``rate = make_rate()`` is built
+    only once the guard has passed.  Exact rational popularity gives an
+    exact rational result.  Raises :class:`LimitExceededError` when the
+    ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``.
+    """
+    n = len(popularity)
+    count = comb(n + users - 1, users)
+    if count > ENUMERATION_LIMIT:
+        raise LimitExceededError(
+            f"{count} demand multisets exceed the limit {ENUMERATION_LIMIT}; "
+            "use expected_rate_mc instead"
+        )
+    rate = make_rate()
+    exact = all(isinstance(p, Fraction) for p in popularity)
+    total = Fraction(0) if exact else 0.0
+    for rep, counts, weight in _demand_multisets(n, users):
+        prob = _probability(popularity, counts, exact)
+        if prob == 0:
+            continue
+        total += weight * prob * rate(rep)
+    return total
+
+
+def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
     """Exact expected rate of `scheduler` on the placement of `cfg`.
 
-    With ``symmetric=True`` demand vectors are grouped by multiset and
-    each multiset is rated at its sorted representative, shrinking the
-    enumeration from ``N**K`` to the number of multisets.  That is the
-    scheduler's own expectation only if relabeling the users never
-    changes its rate.  The exhaustive scheduler's rate on ``beta``
-    placements never changes: every piece has one size, so the rate is a
-    minimum message count.  The greedy scheduler's can: at K = 5,
-    r = (3, 2) the demand (1, 2, 1, 2, 2) costs 9/10 and (2, 1, 2, 2, 1)
-    costs 14/15.  For such a scheduler the result is the expected rate of
+    Demand vectors are grouped by multiset, and each multiset is rated at
+    its sorted representative.  So the result is the expected rate of
     scheduling the sorted demand and relabeling the users back, which
-    both placements allow; ``symmetric=False`` gives its own expectation.
-    Exact rational popularity gives an exact rational result.  Raises
-    :class:`LimitExceededError` when the demands to rate, ``C(N+K-1, K)``
-    multisets or ``N**K`` vectors, exceed `limit`.
+    both placements allow.  That is the scheduler's own expectation only
+    if relabeling the users never changes its rate.  The exhaustive
+    scheduler's rate on ``beta`` placements never changes: every piece has
+    one size, so the rate is a minimum message count.  The greedy
+    scheduler's can: at K = 5, r = (3, 2) the demand (1, 2, 1, 2, 2) costs
+    9/10 and (2, 1, 2, 2, 1) costs 14/15.  Exact rational popularity gives
+    an exact rational result.  Raises :class:`LimitExceededError`, before
+    anything is placed, when the ``C(N+K-1, K)`` multisets exceed
+    ``ENUMERATION_LIMIT``.
     """
-    n, k = cfg.num_files, cfg.users
-    # the demands actually rated: multisets, or every request vector
-    if symmetric:
-        count, what = comb(n + k - 1, k), "demand multisets"
-    else:
-        count, what = n**k, "request vectors"
-    if count > limit:
-        raise LimitExceededError(
-            f"{count} {what} exceed the limit {limit}; use expected_rate_mc instead"
-        )
-    cache = place(cfg)
-    exact = all(isinstance(p, Fraction) for p in cfg.popularity)
-    total = Fraction(0) if exact else 0.0
-    if symmetric:
-        for rep, counts, weight in _demand_multisets(n, k):
-            prob = _probability(cfg.popularity, counts, exact)
-            if prob == 0:
-                continue
-            total += weight * prob * scheduler(cache, rep).rate
-    else:
-        for vec in itertools.product(range(1, n + 1), repeat=k):
-            prob = _probability(cfg.popularity, Counter(vec), exact)
-            if prob == 0:
-                continue
-            total += prob * scheduler(cache, vec).rate
-    return total
+
+    def make_rate():
+        cache = place(cfg)
+        return lambda rep: scheduler(cache, rep).rate
+
+    return _multiset_expectation(cfg.popularity, cfg.users, make_rate)
 
 
 @dataclass(frozen=True)
@@ -133,9 +139,10 @@ def expected_rate_mc(
     """Unbiased Monte Carlo estimate of the expected rate.
 
     Deterministic for a fixed seed.  Distinct demand multisets are rated
-    once, at their sorted representative, and reused across samples; see
-    :func:`expected_rate_exact` for what that means for a scheduler whose
-    rate depends on user labels.
+    once, at their sorted representative, and reused across samples; so,
+    as for :func:`expected_rate_exact`, this estimates the expected rate
+    of scheduling each sorted demand, which differs from the scheduler's
+    own when its rate depends on user labels.
     """
     if samples < 1:
         raise ValidationError(f"samples must be >= 1, got {samples}")
@@ -419,8 +426,6 @@ def alpha_expected_rate(
     memories: Sequence,
     popularity: Sequence,
     scheduler: Scheduler | None = None,
-    *,
-    limit: int = ENUMERATION_LIMIT,
 ):
     """Expected rate of the grouping baseline for a given memory split.
 
@@ -437,7 +442,7 @@ def alpha_expected_rate(
     solver) per-group rates come from actual schedules on the per-group
     placements, summed over every demand multiset; that path raises
     :class:`LimitExceededError` when the ``C(N+K-1, K)`` multisets exceed
-    `limit`.
+    ``ENUMERATION_LIMIT``.
     """
     if len(sizes) != len(memories):
         raise ValidationError("sizes and memories must have the same length")
@@ -446,8 +451,8 @@ def alpha_expected_rate(
     if sum(sizes) != n:
         raise ValidationError("group sizes must cover every file exactly once")
     shares = [memory_share(users, s, m) for s, m in zip(sizes, memories)]
-    exact = all(isinstance(p, Fraction) for p in pop)
     if scheduler is None:
+        exact = all(isinstance(p, Fraction) for p in pop)
         total = Fraction(0) if exact else 0.0
         for rates, share in zip(_group_level_rates(users, sizes, pop), shares):
             for w, t in share:
@@ -455,43 +460,40 @@ def alpha_expected_rate(
                     total += w * rates[t]
         return total
 
-    count = comb(n + users - 1, users)
-    if count > limit:
-        raise LimitExceededError(f"{count} demand multisets exceed the limit {limit}")
-    starts = [1 + sum(sizes[:i]) for i in range(len(sizes))]
-    piece_caches: dict[tuple[int, int], CacheState] = {}
-    for gi, size in enumerate(sizes):
-        for _, t in shares[gi]:
-            if (gi, t) not in piece_caches:
-                sub = make_config(users, [size], [t], strategy="alpha")
-                piece_caches[(gi, t)] = place_alpha(sub)
-
-    rate_memo: dict[tuple[int, int, tuple[tuple[int, int], ...]], Fraction] = {}
-
-    def piece_rate(gi: int, t: int, local_demand: dict[int, int]) -> Fraction:
-        key = (gi, t, tuple(sorted(local_demand.items())))
-        if key not in rate_memo:
-            rate_memo[key] = scheduler(piece_caches[(gi, t)], local_demand).rate
-        return rate_memo[key]
-
-    total = Fraction(0) if exact else 0.0
-    for rep, counts, weight in _demand_multisets(n, users):
-        prob = _probability(pop, counts, exact)
-        if prob == 0:
-            continue
-        rate = Fraction(0)
+    def make_rate():
+        starts = [1 + sum(sizes[:i]) for i in range(len(sizes))]
+        piece_caches: dict[tuple[int, int], CacheState] = {}
         for gi, size in enumerate(sizes):
-            lo, hi = starts[gi], starts[gi] + size
-            local = {
-                k + 1: f - lo + 1 for k, f in enumerate(rep) if lo <= f < hi
-            }
-            if not local:
-                continue
-            for w, t in shares[gi]:
-                if w:
-                    rate += w * piece_rate(gi, t, local)
-        total += weight * prob * rate
-    return total
+            for _, t in shares[gi]:
+                if (gi, t) not in piece_caches:
+                    sub = make_config(users, [size], [t], strategy="alpha")
+                    piece_caches[(gi, t)] = place_alpha(sub)
+
+        rate_memo: dict[tuple[int, int, tuple[tuple[int, int], ...]], Fraction] = {}
+
+        def piece_rate(gi: int, t: int, local_demand: dict[int, int]) -> Fraction:
+            key = (gi, t, tuple(sorted(local_demand.items())))
+            if key not in rate_memo:
+                rate_memo[key] = scheduler(piece_caches[(gi, t)], local_demand).rate
+            return rate_memo[key]
+
+        def rate(rep: tuple[int, ...]) -> Fraction:
+            total = Fraction(0)
+            for gi, size in enumerate(sizes):
+                lo, hi = starts[gi], starts[gi] + size
+                local = {
+                    k + 1: f - lo + 1 for k, f in enumerate(rep) if lo <= f < hi
+                }
+                if not local:
+                    continue
+                for w, t in shares[gi]:
+                    if w:
+                        total += w * piece_rate(gi, t, local)
+            return total
+
+        return rate
+
+    return _multiset_expectation(pop, users, make_rate)
 
 
 def _non_increasing_vectors(length: int, top: int):
@@ -509,16 +511,14 @@ def beta_points(
     users: int,
     sizes: Sequence[int],
     popularity: Sequence,
-    scheduler: Scheduler | None = None,
+    scheduler: Scheduler = exhaustive_schedule,
 ) -> tuple[RatePoint, ...]:
     """Achievable points of the cross-group strategy for one grouping:
-    every valid non-increasing replication vector, rated by `scheduler`
-    (exhaustive by default)."""
-    sched = scheduler or (lambda cache, demand: exhaustive_schedule(cache, demand))
+    every valid non-increasing replication vector, rated by `scheduler`."""
     out = []
     for r in _non_increasing_vectors(len(sizes), users):
         cfg = make_config(users, sizes, list(r), popularity, strategy="beta")
-        rate = expected_rate_exact(cfg, sched)
+        rate = expected_rate_exact(cfg, scheduler)
         out.append(RatePoint(cfg.memory, rate, label=f"beta r={r}", params=r))
     return tuple(out)
 
@@ -535,12 +535,7 @@ def _compositions(total: int):
                 yield (first,) + rest
 
 
-def alpha_points(
-    users: int,
-    popularity: Sequence,
-    *,
-    max_points: int = 20_000,
-) -> tuple[RatePoint, ...]:
+def alpha_points(users: int, popularity: Sequence) -> tuple[RatePoint, ...]:
     """Achievable points of the grouping baseline: every contiguous
     grouping of the file list with every integer cache level per group.
 
@@ -553,8 +548,8 @@ def alpha_points(
     out = []
     for comp in _compositions(n):
         count = (users + 1) ** len(comp)
-        if len(out) + count > max_points:
-            raise LimitExceededError(f"grouping sweep exceeds {max_points} points")
+        if len(out) + count > _MAX_POINTS:
+            raise LimitExceededError(f"grouping sweep exceeds {_MAX_POINTS} points")
         levels = _group_level_rates(users, comp, pop)
         for ts in itertools.product(range(users + 1), repeat=len(comp)):
             rate = sum((rates[t] for rates, t in zip(levels, ts)), zero)
@@ -666,16 +661,3 @@ def write_curves_csv(path, curves: Sequence[RateCurve]) -> None:
         writer.writerow([curves[0].xname] + [c.label for c in curves])
         for x, *ys in zip(xs, *columns):
             writer.writerow([f"{float(x):.12g}"] + [f"{float(y):.12g}" for y in ys])
-
-
-def curves_to_json(curves: Sequence[RateCurve]) -> dict:
-    return {
-        "xname": curves[0].xname if curves else "",
-        "curves": [
-            {
-                "label": c.label,
-                "samples": [[float(x), float(y)] for x, y in c.samples],
-            }
-            for c in curves
-        ],
-    }

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from codedcache import cache_from_json, place_beta, toy_config
+from codedcache import cache_from_json, delivery, place_beta, toy_config
 from codedcache.cli import main
 
 TOY = {
@@ -180,10 +180,12 @@ def test_deliver_all_demands_verified(toy_path, tmp_path):
     assert all(s["verified"] for s in data["schedules"])
 
 
-def test_deliver_budget_exit_4(toy_path, capsys):
-    rc = main(
-        ["deliver", str(toy_path), "--all-demands", "--scheduler", "exhaustive", "--demand-limit", "4"]
-    )
+def test_deliver_budget_exit_4(tmp_path, capsys):
+    # 2**13 = 8192 request vectors exceed the 4096 that --all-demands schedules
+    cfg = dict(TOY, K=13, groups=[{"size": 2, "r": 0}], popularity=["1/2", "1/2"])
+    path = tmp_path / "k13.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    rc = main(["deliver", str(path), "--all-demands", "--scheduler", "exhaustive"])
     assert rc == 4
     assert "limit" in capsys.readouterr().err
 
@@ -267,12 +269,27 @@ def test_rates_alpha_sweep_matches_golden_digest(tmp_path, popularity):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ALPHA_SWEEP_GOLDEN[popularity]
 
 
-@pytest.mark.parametrize("budget, code", [("-1", 2), ("0", 4)])
-def test_rates_beta_sweep_message_budget_exit_codes(toy_path, capsys, budget, code):
-    # a negative budget is a usage error; a budget of no messages is a limit
-    argv = ["rates", str(toy_path), "--m-sweep", "--strategies", "beta", "--max-messages", budget]
+@pytest.mark.parametrize("budget, code", [(0, 4)])
+def test_rates_beta_sweep_message_budget_exit_codes(toy_path, capsys, monkeypatch, budget, code):
+    # a search budget of no messages is a resource limit
+    monkeypatch.setattr(delivery, "_MAX_MESSAGES", budget)
+    argv = ["rates", str(toy_path), "--m-sweep", "--strategies", "beta"]
     assert main(argv) == code
-    assert ("error:" if code == 2 else "resource limit:") in capsys.readouterr().err
+    assert "resource limit:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rates", "--m-sweep", "--strategies", "beta", "--max-messages", "12"],
+        ["deliver", "--all-demands", "--demand-limit", "4096"],
+    ],
+    ids=["max-messages", "demand-limit"],
+)
+def test_removed_budget_flags_exit_2(toy_path, capsys, argv):
+    # the search and enumeration budgets are module constants, not options
+    assert main(argv[:1] + [str(toy_path)] + argv[1:]) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # sha256 of the `rates --m-sweep --strategies beta --csv` output for K = 3

@@ -35,6 +35,7 @@ from codedcache import (
     toy_config,
     toy_schedule,
 )
+from codedcache import delivery
 from codedcache.delivery import _candidate_messages, _CliqueIndex, _PieceTable, normalize_demand
 from codedcache.gf2 import GF2Basis
 
@@ -199,6 +200,14 @@ def test_decodable_validates_inputs():
     foreign = _msg((A, "123", "12"))  # chain from a different replication vector
     with pytest.raises(ValidationError):
         decodable(cache, DeliverySchedule((foreign,), Fraction(1, 6)), (1, 1, 1))
+
+
+@pytest.mark.parametrize("demand", [(True, 2, 2), (1.0, 2, 2), {1.0: 1}, {True: 1}])
+@pytest.mark.parametrize("use", [greedy_schedule, needed_map])
+def test_non_integer_demand_rejected(use, demand):
+    # True == 1 and 1.0 == 1, yet neither names a user or a file
+    with pytest.raises(ValidationError, match="integer"):
+        use(toy_cache(), demand)
 
 
 def test_decodable_rejects_a_rate_other_than_the_message_sum():
@@ -390,7 +399,7 @@ def relabeled_demands(draw, max_users=5, strategies=("beta", "alpha")):
 @given(relabeled_demands())
 @example((make_config(5, [1, 1], [3, 2]), (1, 2, 1, 2, 2), [1, 0, 3, 4, 2]))
 def test_greedy_rate_invariant_under_user_relabeling(case):
-    # expected_rate_exact(symmetric=True) rates one demand per multiset
+    # expected_rate_exact rates one demand per multiset, its sorted representative
     cfg, demand, perm = case
     cache = place(cfg)
     relabeled = tuple(demand[j] for j in perm)
@@ -400,8 +409,9 @@ def test_greedy_rate_invariant_under_user_relabeling(case):
 @settings(max_examples=40, deadline=None)
 @given(relabeled_demands(max_users=3, strategies=("beta",)))
 def test_exhaustive_rate_invariant_under_user_relabeling_on_beta(case):
-    # the rates --m-sweep path: expected_rate_exact(symmetric=True) over
-    # exhaustive schedules of beta placements, whose pieces share one size
+    # the rates --m-sweep path: expected_rate_exact, which rates sorted
+    # representatives, over exhaustive schedules of beta placements, whose
+    # pieces share one size
     cfg, demand, perm = case
     cache = place(cfg)
     relabeled = tuple(demand[j] for j in perm)
@@ -430,12 +440,14 @@ def test_exhaustive_matches_shared_level_rates():
         assert schedule.rate == expect
 
 
-def test_exhaustive_budget_exhaustion():
+def test_exhaustive_budget_exhaustion(monkeypatch):
     cache = toy_cache()
-    with pytest.raises(BudgetExceededError):
-        exhaustive_schedule(cache, (2, 2, 2), max_messages=3)
-    with pytest.raises(BudgetExceededError):
-        exhaustive_schedule(cache, (2, 2, 2), max_nodes=2)
+    budgets = [("_MAX_MESSAGES", 3), ("_MAX_NODES", 2), ("_MAX_MESSAGES", 0), ("_MAX_NODES", 0)]
+    for budget, value in budgets:
+        with monkeypatch.context() as patch:
+            patch.setattr(delivery, budget, value)
+            with pytest.raises(BudgetExceededError):
+                exhaustive_schedule(cache, (2, 2, 2))
 
 
 def test_exhaustive_never_worse_than_greedy():
@@ -443,32 +455,22 @@ def test_exhaustive_never_worse_than_greedy():
     for _ in range(150):
         cfg, cache, demand = random_setup(rng, max_users=3)
         greedy = greedy_schedule(cache, demand)
-        exact = exhaustive_schedule(cache, demand, max_messages=14)
+        exact = exhaustive_schedule(cache, demand)
         assert decodable(cache, exact, demand).ok
         assert exact.rate <= greedy.rate
 
 
-def test_exhaustive_rejects_negative_budgets():
-    cache = toy_cache()
-    with pytest.raises(ValidationError):
-        exhaustive_schedule(cache, (1, 2, 2), max_messages=-1)
-    with pytest.raises(ValidationError):
-        exhaustive_schedule(cache, (1, 2, 2), max_nodes=-1)
-    with pytest.raises(BudgetExceededError):
-        exhaustive_schedule(cache, (1, 2, 2), max_messages=0)
-    with pytest.raises(BudgetExceededError):
-        exhaustive_schedule(cache, (1, 2, 2), max_nodes=0)
-
-
-def test_exhaustive_node_budget_is_exact():
+def test_exhaustive_node_budget_is_exact(monkeypatch):
     # the least budget that finds a schedule, measured on the two-basis search
     cache = place(make_config(3, [1, 1, 1], [2, 1, 1]))
-    assert exhaustive_schedule(cache, (1, 2, 3), max_nodes=4843).rate == 1
+    monkeypatch.setattr(delivery, "_MAX_NODES", 4843)
+    assert exhaustive_schedule(cache, (1, 2, 3)).rate == 1
+    monkeypatch.setattr(delivery, "_MAX_NODES", 4842)
     with pytest.raises(BudgetExceededError, match="4842 nodes"):
-        exhaustive_schedule(cache, (1, 2, 3), max_nodes=4842)
+        exhaustive_schedule(cache, (1, 2, 3))
 
 
-def two_basis_exhaustive(cache, demand, max_messages):
+def two_basis_exhaustive(cache, demand):
     """The exhaustive search as it was before its in-place rewrite: per
     user a basis of the message span and one of the span joined with the
     needed units, both copied on every accepted branch, with the deficiency
@@ -514,7 +516,7 @@ def two_basis_exhaustive(cache, demand, max_messages):
         for column in columns:
             joined.add(1 << column)
         root[k] = (GF2Basis(), joined, joined.rank)
-    for depth in range(max(len(c) for c in needed.values()), max_messages + 1):
+    for depth in range(max(len(c) for c in needed.values()), delivery._MAX_MESSAGES + 1):
         picked = search(0, root, depth)
         if picked is not None:
             return make_schedule(cache, (table.message(candidates[i]) for i in picked))
@@ -525,12 +527,12 @@ def test_exhaustive_matches_the_two_basis_search():
     rng = random.Random(6)
     for _ in range(150):
         cfg, cache, demand = random_setup(rng, max_users=3)
-        expected = two_basis_exhaustive(cache, demand, max_messages=14)
+        expected = two_basis_exhaustive(cache, demand)
         if expected is None:
             with pytest.raises(BudgetExceededError):
-                exhaustive_schedule(cache, demand, max_messages=14)
+                exhaustive_schedule(cache, demand)
         else:
-            assert exhaustive_schedule(cache, demand, max_messages=14) == expected
+            assert exhaustive_schedule(cache, demand) == expected
 
 
 def test_exhaustive_deterministic():

@@ -272,6 +272,9 @@ def _one_user_cache(d, users, r):
         lambda d: d["users"][0]["entries"][0].update(chains=[[1.0, 2.0], [1.0]]),
         lambda d: d["users"][0]["entries"][0].update(file=True),
         lambda d: d["users"][0].update(user=True),
+        lambda d: d["files"][0].update(subpacketization=99),
+        lambda d: d["files"][0].update(file=7),
+        lambda d: d["users"][0]["entries"].append(dict(d["users"][0]["entries"][0])),
     ],
     ids=[
         "chain-no-piece-of-file",
@@ -287,6 +290,9 @@ def _one_user_cache(d, users, r):
         "chain-user-float",
         "file-true",
         "user-record-true",
+        "subpacketization-99",
+        "file-record-7",
+        "piece-twice",
     ],
 )
 def test_cache_json_rejects_bad_input(damage):

@@ -36,6 +36,7 @@ from codedcache import (
     toy_schedule,
     write_curves_csv,
 )
+from codedcache import rates
 from codedcache.rates import _compositions
 
 EXHAUSTIVE = lambda cache, demand: exhaustive_schedule(cache, demand)
@@ -61,10 +62,14 @@ def test_toy_scheduler_matches_closed_form_exactly():
 
 
 def test_symmetric_and_full_enumeration_agree():
+    # the multiset sum equals the sum over all N**K request vectors
     cfg = toy_config(Fraction(3, 5))
-    fast = expected_rate_exact(cfg, TOY, symmetric=True)
-    slow = expected_rate_exact(cfg, TOY, symmetric=False)
-    assert fast == slow
+    cache = place_beta(cfg)
+    full = sum(
+        math.prod(cfg.popularity[f - 1] for f in vec) * toy_schedule(vec, cache).rate
+        for vec in itertools.product((1, 2), repeat=3)
+    )
+    assert expected_rate_exact(cfg, TOY) == full
 
 
 def test_single_level_row_matches_its_closed_form():
@@ -75,20 +80,24 @@ def test_single_level_row_matches_its_closed_form():
         assert got == Fraction(5, 3) - p**3 - Fraction(2, 3) * q**3
 
 
-def test_enumeration_limit_points_to_monte_carlo():
-    cfg = make_config(3, [2, 2], [1, 0], [Fraction(1, 4)] * 4)
+def _unreachable(*args, **kwargs):
+    raise AssertionError("placed before the enumeration guard")
+
+
+def test_enumeration_limit_points_to_monte_carlo(monkeypatch):
+    # C(29, 10) = 20,030,010 demand multisets exceed ENUMERATION_LIMIT
+    cfg = make_config(10, [20], [1], [Fraction(1, 20)] * 20)
+    monkeypatch.setattr(rates, "place", _unreachable)
     with pytest.raises(LimitExceededError, match="expected_rate_mc"):
-        expected_rate_exact(cfg, EXHAUSTIVE, limit=10)
+        expected_rate_exact(cfg, EXHAUSTIVE)
 
 
 def test_enumeration_limit_counts_the_multisets_rated():
-    # 2**20 request vectors exceed the default limit, but symmetric rating
-    # visits only the 21 demand multisets
+    # 2**20 request vectors exceed ENUMERATION_LIMIT, but only the 21
+    # demand multisets are rated
     cfg = make_config(20, [2], [0], [Fraction(1, 2)] * 2)
     distinct = lambda cache, demand: DeliverySchedule((), Fraction(len(set(demand))))
     assert expected_rate_exact(cfg, distinct) == 2 - Fraction(2, 2**20)
-    with pytest.raises(LimitExceededError, match="request vectors"):
-        expected_rate_exact(cfg, distinct, symmetric=False)
 
 
 def test_float_popularity_gives_float_rate():
@@ -358,16 +367,18 @@ def test_alpha_expectation_float_popularity(case):
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
-def test_alpha_closed_kernel_has_no_demand_limit():
-    # C(15, 13) = 105 demand multisets: only the scheduler path enumerates them
-    p = [Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)]
-    assert alpha_expected_rate(13, [3], [Fraction(0)], p) == sum(1 - (1 - x) ** 13 for x in p)
-    with pytest.raises(LimitExceededError):
-        alpha_expected_rate(13, [3], [Fraction(0)], p, scheduler=EXHAUSTIVE, limit=104)
+def test_alpha_closed_kernel_has_no_demand_limit(monkeypatch):
+    # C(24, 13) = 2,496,144 demand multisets exceed ENUMERATION_LIMIT: only
+    # the scheduler path enumerates them, and it refuses before placing
+    p = [Fraction(k, 78) for k in range(1, 13)]
+    assert alpha_expected_rate(13, [12], [Fraction(0)], p) == sum(1 - (1 - x) ** 13 for x in p)
+    monkeypatch.setattr(rates, "place_alpha", _unreachable)
+    with pytest.raises(LimitExceededError, match="expected_rate_mc"):
+        alpha_expected_rate(13, [12], [Fraction(0)], p, scheduler=EXHAUSTIVE)
 
 
 def test_alpha_scheduler_path_counts_the_multisets_rated():
-    # 2**20 request vectors exceed the default limit, but the scheduler
+    # 2**20 request vectors exceed ENUMERATION_LIMIT, but the scheduler
     # path rates only the 21 demand multisets
     half = [Fraction(1, 2)] * 2
     got = alpha_expected_rate(20, [2], [Fraction(0)], half, scheduler=greedy_schedule)
@@ -430,8 +441,9 @@ def test_alpha_points_are_alpha_expected_rates(popularity):
 
 
 def test_alpha_points_guard():
-    with pytest.raises(LimitExceededError):
-        alpha_points(3, [Fraction(1, 8)] * 8, max_points=10)
+    # 8 singleton groups at 4 levels each: 4**8 = 65,536 points
+    with pytest.raises(LimitExceededError, match="points"):
+        alpha_points(3, [Fraction(1, 8)] * 8)
 
 
 # ---------------------------------------------------------------------------
