@@ -46,14 +46,14 @@ EXIT_LIMIT = 4
 _DEMAND_LIMIT = 4096
 
 
-def _write_manifest(out_path: Path, command: str, config: str, seed=None, outputs=None) -> None:
+def _write_manifest(out_path: Path, command: str, config: str) -> None:
     manifest = {
         "tool": "codedcache",
         "version": __version__,
         "command": command,
         "config": str(config),
-        "seed": seed,
-        "outputs": [str(p) for p in (outputs or [out_path])],
+        "seed": None,
+        "outputs": [str(out_path)],
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     side = out_path.with_name(out_path.stem + ".manifest.json")

@@ -32,17 +32,18 @@ from .errors import LimitExceededError, ValidationError
 MAX_ENUMERATION = 10**6
 
 
-def _require_int(name: str, value) -> None:
+def _require_int(name: str, value, least: int | None = None) -> None:
+    """Raise unless `value` is an int, and at least `least` if that is given."""
     # bool is an int subclass, but True is no user or piece count
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {value}")
 
 
 def check_r_vector(users: int, r: Sequence[int]) -> tuple[int, ...]:
     """Validate a replication vector against a user count and return it as a tuple."""
-    _require_int("user count", users)
-    if users < 1:
-        raise ValidationError(f"user count must be >= 1, got {users}")
+    _require_int("user count", users, 1)
     rv = tuple(r)
     if not rv:
         raise ValidationError("replication vector must have at least one entry")
@@ -123,12 +124,23 @@ class SubfileIndex:
         return bool(self.masks[level - 1] >> (user - 1) & 1)
 
     def permuted(self, perm: Sequence[int]) -> "SubfileIndex":
-        """Relabel users: user ``k`` becomes ``perm[k-1]`` (1-indexed images)."""
+        """Relabel users: user ``k`` becomes ``perm[k-1]`` (1-indexed images).
+
+        Raises :class:`ValidationError` unless `perm` is a permutation of
+        ``1..len(perm)`` with an image for every user the chain names.
+        """
+        images = list(perm)
+        for image in images:
+            _require_int("user image", image)
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValidationError(f"{images} is not a permutation of 1..{len(images)}")
+        if any(mask >> len(images) for mask in self.masks):
+            raise ValidationError(f"{images} has no image for a user of {self.sets}")
         new_masks = []
         for mask in self.masks:
             out = 0
             for k in _users_from_mask(mask):
-                out |= 1 << (perm[k - 1] - 1)
+                out |= 1 << (images[k - 1] - 1)
             new_masks.append(out)
         return SubfileIndex(tuple(new_masks))
 

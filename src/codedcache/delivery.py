@@ -2,10 +2,12 @@
 
 A delivery message is the bitwise XOR of a set of file pieces; a
 schedule is an ordered list of messages whose total rate is the sum of
-the piece sizes.  Decodability is checked by linear algebra over GF(2):
-user ``k`` can recover a piece iff its unit vector lies in the span of
-``k``'s cached unit vectors together with the message sum vectors, and
-the witnessing combination is returned as a certificate.
+the piece sizes.  Decodability is checked by linear algebra over GF(2).
+A user's side information is read off the holder masks and never enters
+a basis: user ``k`` sees each message only on the columns it does not
+cache, and can recover a piece iff its unit vector lies in the span of
+those masked messages.  The witnessing messages, plus the cached pieces
+that cancel the rest of their sum, are returned as a certificate.
 
 Inside the module a piece is its GF(2) column, one int per (file, rank);
 a table built per call holds each column's holder mask and piece count.
@@ -42,10 +44,6 @@ from .placement import CacheState, place_beta, toy_config
 Pair = tuple[int, SubfileIndex]
 
 
-def _pair_key(pair: Pair) -> tuple[int, tuple[int, ...]]:
-    return (pair[0], pair[1].masks)
-
-
 @dataclass(frozen=True)
 class DeliveryMessage:
     """XOR of a set of distinct file pieces, kept in canonical order."""
@@ -59,7 +57,7 @@ class DeliveryMessage:
             raise ValidationError("a message needs at least one summand")
         if len(set(items)) != len(items):
             raise ValidationError("duplicate summands would cancel over GF(2)")
-        return cls(tuple(sorted(items, key=_pair_key)))
+        return cls(tuple(sorted(items)))
 
     def permuted(self, perm: Sequence[int]) -> "DeliveryMessage":
         return DeliveryMessage.build((f, idx.permuted(perm)) for f, idx in self.summands)
@@ -183,11 +181,6 @@ class _PieceTable:
         start = self.offsets[file - 1]
         return range(start, start + len(self.cache.masks[file - 1]))
 
-    def cached(self, user: int) -> list[int]:
-        """The ascending columns `user` caches."""
-        bit = 1 << (user - 1)
-        return [column for column, mask in enumerate(self.holders) if mask & bit]
-
     def vector(self, message: DeliveryMessage) -> int:
         """The message's columns as a bit vector; raises for a summand
         outside the placement."""
@@ -228,15 +221,28 @@ class DecodeReport:
         return self.ok
 
 
+def _set_bits(vec: int) -> list[int]:
+    """The positions of `vec`'s set bits, ascending."""
+    out = []
+    while vec:
+        low = vec & -vec
+        out.append(low.bit_length() - 1)
+        vec ^= low
+    return out
+
+
 def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeReport:
     """Check that every user can recover every piece of its requested file.
 
     Returns a report whose truth value is the verdict; on success each
     needed piece carries the exact combination of cached pieces and
-    broadcast messages that reconstructs it.  Raises
-    :class:`ValidationError` for a malformed schedule: a summand outside
-    the placement, a message mixing piece sizes, or a claimed rate that is
-    not the sum of the message sizes.
+    broadcast messages that reconstructs it.  A user's cache is read off
+    the holder masks, so its basis holds only the messages, each cut to
+    the columns the user does not cache; the certificate's cache entries
+    are the columns left in the sum of its messages besides the piece,
+    all of them cached.  Raises :class:`ValidationError` for a malformed
+    schedule: a summand outside the placement, a message mixing piece
+    sizes, or a claimed rate that is not the sum of the message sizes.
     """
     dem = normalize_demand(cache, demand)
     table = _PieceTable(cache)
@@ -250,14 +256,11 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
     certificates: dict[int, dict[Pair, Certificate]] = {}
     missing: dict[int, tuple[Pair, ...]] = {}
     for k, needed in table.needed(dem).items():
-        # rows, by tag: the user's cached columns, then the messages
-        cached = table.cached(k)
-        first_message = len(cached)
+        bit = 1 << (k - 1)
+        uncached = sum(1 << c for c, mask in enumerate(table.holders) if not mask & bit)
         basis = GF2Basis()
-        for tag, column in enumerate(cached):
-            basis.add(1 << column, tag=tag)
         for i, vec in enumerate(vectors):
-            basis.add(vec, tag=first_message + i)
+            basis.add(vec & uncached, tag=i)
 
         user_certs: dict[Pair, Certificate] = {}
         user_missing: list[Pair] = []
@@ -266,16 +269,12 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
             if combo is None:
                 user_missing.append(table.pair(column))
                 continue
-            used_cache, used_msgs = [], []
-            while combo:
-                low = combo & -combo
-                tag = low.bit_length() - 1
-                if tag < first_message:
-                    used_cache.append(table.pair(cached[tag]))
-                else:
-                    used_msgs.append(tag - first_message)
-                combo ^= low
-            user_certs[table.pair(column)] = Certificate(tuple(used_cache), tuple(used_msgs))
+            used = _set_bits(combo)
+            rest = 1 << column
+            for i in used:
+                rest ^= vectors[i]
+            entries = tuple(table.pair(c) for c in _set_bits(rest))
+            user_certs[table.pair(column)] = Certificate(entries, tuple(used))
         certificates[k] = user_certs
         if user_missing:
             missing[k] = tuple(user_missing)

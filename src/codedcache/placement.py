@@ -89,16 +89,12 @@ class PlacementConfig:
     strategy: str = "beta"
 
     def __post_init__(self) -> None:
-        _require_int("user count", self.users)
-        if self.users < 1:
-            raise ValidationError(f"user count must be >= 1, got {self.users}")
+        _require_int("user count", self.users, 1)
         if not self.groups:
             raise ValidationError("at least one group is required")
         for g in self.groups:
-            _require_int("group size", g.size)
+            _require_int("group size", g.size, 1)
             _require_int("group replication", g.r)
-            if g.size < 1:
-                raise ValidationError(f"group size must be >= 1, got {g.size}")
             if not 0 <= g.r <= self.users:
                 raise ValidationError(f"group replication {g.r} outside [0, {self.users}]")
         if self.strategy not in ("beta", "alpha"):
@@ -300,6 +296,8 @@ def split_by_popularity(
     caller's decision.
     """
     pop = _normalize_popularity(popularity)
+    for s in sizes:
+        _require_int("group size", s, 1)
     if sum(sizes) != len(pop):
         raise ValidationError("group sizes must cover every file exactly once")
     order = sorted(range(1, len(pop) + 1), key=lambda i: (-pop[i - 1], i))

@@ -28,6 +28,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 from scipy.optimize import bisect, minimize_scalar
 
+from .combinatorics import _require_int
 from .delivery import Scheduler, exhaustive_schedule
 from .errors import LimitExceededError, ValidationError
 from .placement import (
@@ -144,8 +145,7 @@ def expected_rate_mc(
     of scheduling each sorted demand, which differs from the scheduler's
     own when its rate depends on user labels.
     """
-    if samples < 1:
-        raise ValidationError(f"samples must be >= 1, got {samples}")
+    _require_int("samples", samples, 1)
     n, k = cfg.num_files, cfg.users
     probs = np.array([float(p) for p in cfg.popularity])
     probs = probs / probs.sum()
@@ -340,9 +340,9 @@ def memory_share(users: int, size: int, memory) -> tuple[tuple[Fraction, int], .
     Returns ``((weight, t), ...)`` where each level-``t`` placement is
     applied to a `weight` fraction of every file in the group.
     """
+    _require_int("user count", users, 1)
+    _require_int("group size", size, 1)
     memory = Fraction(memory)
-    if size < 1:
-        raise ValidationError(f"group size must be >= 1, got {size}")
     t = Fraction(users) * memory / size
     if not 0 <= t <= users:
         raise ValidationError(f"group memory {memory} needs cache level {t} outside [0, {users}]")
@@ -446,11 +446,12 @@ def alpha_expected_rate(
     """
     if len(sizes) != len(memories):
         raise ValidationError("sizes and memories must have the same length")
+    # memory_share checks the user count and every group size
+    shares = [memory_share(users, s, m) for s, m in zip(sizes, memories)]
     pop = _normalize_popularity(popularity)
     n = len(pop)
     if sum(sizes) != n:
         raise ValidationError("group sizes must cover every file exactly once")
-    shares = [memory_share(users, s, m) for s, m in zip(sizes, memories)]
     if scheduler is None:
         exact = all(isinstance(p, Fraction) for p in pop)
         total = Fraction(0) if exact else 0.0
@@ -496,17 +497,6 @@ def alpha_expected_rate(
     return _multiset_expectation(pop, users, make_rate)
 
 
-def _non_increasing_vectors(length: int, top: int):
-    def extend(prefix, cap):
-        if len(prefix) == length:
-            yield prefix
-            return
-        for v in range(cap, -1, -1):
-            yield from extend(prefix + (v,), v)
-
-    yield from extend((), top)
-
-
 def beta_points(
     users: int,
     sizes: Sequence[int],
@@ -516,7 +506,7 @@ def beta_points(
     """Achievable points of the cross-group strategy for one grouping:
     every valid non-increasing replication vector, rated by `scheduler`."""
     out = []
-    for r in _non_increasing_vectors(len(sizes), users):
+    for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes)):
         cfg = make_config(users, sizes, list(r), popularity, strategy="beta")
         rate = expected_rate_exact(cfg, scheduler)
         out.append(RatePoint(cfg.memory, rate, label=f"beta r={r}", params=r))
@@ -524,15 +514,11 @@ def beta_points(
 
 
 def _compositions(total: int):
-    if total == 1:
-        yield (1,)
-        return
-    for first in range(1, total + 1):
-        if first == total:
-            yield (total,)
-        else:
-            for rest in _compositions(total - first):
-                yield (first,) + rest
+    """Every ordered split of `total` into positive parts, in lexicographic order."""
+    for first in range(1, total):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+    yield (total,)
 
 
 def alpha_points(users: int, popularity: Sequence) -> tuple[RatePoint, ...]:
@@ -542,6 +528,7 @@ def alpha_points(users: int, popularity: Sequence) -> tuple[RatePoint, ...]:
     A point's rate is what :func:`alpha_expected_rate` gives for the
     memories ``t_g * size_g / K``: the sum over groups of each group's
     expected rate at its level ``t_g``."""
+    _require_int("user count", users, 1)
     pop = _normalize_popularity(popularity)
     n = len(pop)
     zero = Fraction(0) if all(isinstance(p, Fraction) for p in pop) else 0.0

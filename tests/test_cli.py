@@ -32,6 +32,8 @@ def test_place_writes_cache_and_manifest(toy_path, tmp_path):
     manifest = json.loads((tmp_path / "cache.manifest.json").read_text())
     assert manifest["command"] == "place"
     assert manifest["tool"] == "codedcache"
+    assert manifest["seed"] is None
+    assert manifest["outputs"] == [str(out)]
 
 
 def test_place_empty_config(toy_path, tmp_path):
@@ -134,6 +136,18 @@ def test_deliver_toy_demand(toy_path, tmp_path):
     assert len(data["messages"]) == 4
     assert data["rate"] == "2/3"
     assert data["verified"] is True
+
+
+def test_deliver_print_text_lists_the_messages(toy_path, capsys):
+    argv = ["deliver", str(toy_path), "--demand", "A,A,B", "--scheduler", "toy", "--print-text"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "demand (1, 1, 2): rate 2/3",
+        "  A_{23,2} + B_{12,1}",
+        "  A_{23,3} + B_{13,1}",
+        "  A_{13,1} + B_{12,2}",
+        "  A_{13,3} + B_{23,2}",
+    ]
 
 
 @pytest.mark.parametrize(

@@ -261,6 +261,21 @@ def test_toy_schedule_permutation_is_relabeled_table_row():
     assert got.messages == expected.messages
 
 
+@pytest.mark.parametrize(
+    "perm", [[1, 1, 2], [1, 2], [0, 1, 2], [2, 3, 4], [1.0, 2.0, 3.0], [True, 3, 2]], ids=str
+)
+def test_permute_schedule_rejects_a_non_permutation(perm):
+    # a repeated image would merge two users' chains; a short one names no
+    # image for user 3
+    with pytest.raises(ValidationError):
+        permute_schedule(toy_schedule((1, 1, 2)), perm)
+
+
+def test_permute_schedule_accepts_extra_users():
+    schedule = toy_schedule((1, 1, 2))
+    assert permute_schedule(schedule, [1, 2, 3, 4]).messages == schedule.messages
+
+
 def test_toy_schedule_rejects_other_setups():
     with pytest.raises(UnsupportedConfigError):
         toy_schedule((1, 2))
@@ -480,7 +495,10 @@ def two_basis_exhaustive(cache, demand):
     if not needed:
         return DeliverySchedule((), Fraction(0))
     candidates = _candidate_messages(_CliqueIndex(table, needed))
-    cache_masks = {k: sum(1 << column for column in table.cached(k)) for k in needed}
+    cache_masks = {
+        k: sum(1 << c for c, mask in enumerate(table.holders) if mask >> (k - 1) & 1)
+        for k in needed
+    }
     vectors = [sum(1 << column for column in columns) for columns in candidates]
     proj = [{k: vec & ~cache_masks[k] for k in needed} for vec in vectors]
 

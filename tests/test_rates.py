@@ -32,6 +32,7 @@ from codedcache import (
     place_beta,
     rate_alpha_closed,
     rate_beta_closed,
+    split_by_popularity,
     toy_config,
     toy_schedule,
     write_curves_csv,
@@ -279,6 +280,36 @@ def test_memory_share_integer_and_fractional():
     assert memory_share(3, 1, Fraction(1, 3)) == ((Fraction(1), 1),)
     with pytest.raises(ValidationError):
         memory_share(3, 1, 2)  # more memory than the group holds
+
+
+THIRDS = [Fraction(1, 3)] * 3
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: alpha_points(0, [1]),
+        lambda: alpha_points(-1, [1]),
+        lambda: alpha_points(True, [1]),
+        lambda: alpha_expected_rate(3, [1.5, 1.5], [0, 0], THIRDS),
+        lambda: alpha_expected_rate(0, [1], [0], [1]),
+        lambda: alpha_expected_rate(3, [4, -1], [0, 0], THIRDS),
+        lambda: memory_share(0, 1, 0),
+        lambda: memory_share(3, 1.5, 0),
+        lambda: split_by_popularity([Fraction(1, 2)] * 2, [3, -1]),
+        lambda: split_by_popularity(THIRDS, [1.5, 1.5]),
+        lambda: expected_rate_mc(toy_config(), greedy_schedule, 2.5, 0),
+    ],
+    ids=[
+        "alpha_points-K0", "alpha_points-K-1", "alpha_points-Ktrue",
+        "alpha_rate-size1.5", "alpha_rate-K0", "alpha_rate-size-1",
+        "memory_share-K0", "memory_share-size1.5",
+        "split-size-1", "split-size1.5", "mc-samples2.5",
+    ],
+)
+def test_user_counts_and_group_sizes_must_be_positive_ints(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 @pytest.mark.parametrize(
