@@ -23,7 +23,13 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .delivery import SCHEDULERS, decodable, exhaustive_schedule, schedule_to_json
+from .delivery import (
+    SCHEDULERS,
+    decodable,
+    exhaustive_schedule,
+    normalize_demand,
+    schedule_to_json,
+)
 from .errors import LimitExceededError, ValidationError
 from .placement import cache_json_text, load_config, place
 from .rates import (
@@ -60,10 +66,10 @@ def _write_manifest(out_path: Path, command: str, config: str) -> None:
     side.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _parse_demand(text: str, num_files: int, users: int) -> tuple[int, ...]:
+def _parse_demand(text: str) -> tuple[int, ...]:
+    """File numbers of a demand such as "A,A,B" or "1,1,2"; the count and
+    the range are left to :func:`normalize_demand`."""
     parts = [p.strip() for p in text.split(",")]
-    if len(parts) != users:
-        raise ValidationError(f"demand has {len(parts)} entries for {users} users")
     out = []
     for p in parts:
         if p.isalpha() and len(p) == 1:
@@ -73,8 +79,6 @@ def _parse_demand(text: str, num_files: int, users: int) -> tuple[int, ...]:
                 f = int(p)
             except ValueError as exc:
                 raise ValidationError(f"demand entry {p!r} is not a file") from exc
-        if not 1 <= f <= num_files:
-            raise ValidationError(f"file {p!r} outside [1, {num_files}]")
         out.append(f)
     return tuple(out)
 
@@ -127,7 +131,8 @@ def cmd_deliver(args) -> int:
             )
         demands = list(itertools.product(range(1, cfg.num_files + 1), repeat=cfg.users))
     else:
-        demands = [_parse_demand(args.demand, cfg.num_files, cfg.users)]
+        demands = [_parse_demand(args.demand)]
+        normalize_demand(cache, demands[0])  # the count and the range of the files
 
     results = []
     failures = 0
@@ -146,7 +151,7 @@ def cmd_deliver(args) -> int:
             for m in entry["messages"]:
                 print(f"  {m['text']}")
 
-    payload = results[0] if len(results) == 1 else {"schedules": results}
+    payload = {"schedules": results} if args.all_demands else results[0]
     if args.out:
         out = Path(args.out)
         out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")

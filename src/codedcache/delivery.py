@@ -55,6 +55,9 @@ class DeliveryMessage:
         items = list(pairs)
         if not items:
             raise ValidationError("a message needs at least one summand")
+        for f, _ in items:
+            # the range is checked against a placement, where one is known
+            _require_int("file", f)
         if len(set(items)) != len(items):
             raise ValidationError("duplicate summands would cancel over GF(2)")
         return cls(tuple(sorted(items)))
@@ -73,9 +76,6 @@ class DeliverySchedule:
     def __post_init__(self) -> None:
         if self.rate < 0:
             raise ValidationError("schedule rate cannot be negative")
-
-    def __len__(self) -> int:
-        return len(self.messages)
 
 
 def _message_size(cache: CacheState, message: DeliveryMessage) -> Fraction:
@@ -328,22 +328,26 @@ def toy_cache() -> CacheState:
 def toy_schedule(demand, cache: CacheState | None = None) -> DeliverySchedule:
     """The tabulated schedule for the 3-user / 2-file setup with chains (2, 1).
 
-    Demands that are permutations of a tabulated one are served by the
-    relabeled table entry: users are renamed with the stable sort that
-    orders the demand ascending by file id.  The table is only valid on
-    the reference placement :func:`toy_cache`; a `cache` that differs
+    The demand is a vector or a mapping that names a file for each of the
+    3 users.  Demands that are permutations of a tabulated one are served
+    by the relabeled table entry: users are renamed with the stable sort
+    that orders the demand ascending by file id.  The table is only valid
+    on the reference placement :func:`toy_cache`; a `cache` that differs
     from it raises :class:`UnsupportedConfigError`.
     """
-    if cache is not None and cache != toy_cache():
+    reference = toy_cache()
+    if cache is not None and cache != reference:
         raise UnsupportedConfigError(
             "the tabulated schedule needs the reference placement: "
             "3 users, 2 files, strategy beta with r = (2, 1)"
         )
-    vec = tuple(demand)
-    if len(vec) != 3 or any(f not in (1, 2) for f in vec):
-        raise UnsupportedConfigError(
-            "tabulated schedule exists only for 3 users and files {1, 2}"
-        )
+    try:
+        dem = normalize_demand(reference, demand)
+    except ValidationError as exc:
+        raise UnsupportedConfigError(f"tabulated schedule: {exc}") from exc
+    if len(dem) != 3:
+        raise UnsupportedConfigError("tabulated schedule needs a file for each of the 3 users")
+    vec = tuple(dem[k] for k in (1, 2, 3))
     order = sorted(range(3), key=lambda j: (vec[j], j))
     canonical = tuple(vec[j] for j in order)
     perm = [0, 0, 0]

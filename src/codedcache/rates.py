@@ -4,10 +4,12 @@ Expectations are taken over i.i.d. user requests: ``R = sum_d P(d) R(d)``
 with ``P(d)`` the product of per-file request probabilities.  Rating a
 scheduler enumerates the ``C(N+K-1, K)`` demand multisets, at most
 ``ENUMERATION_LIMIT`` of them, and schedules each at its sorted
-representative.  The grouping baseline's closed kernel needs no demand:
-by linearity of expectation its rate is a sum over groups, each taken
-over the law of the number of distinct files of the group that are
-requested.
+representative.  The grouping baseline serves every group alone, so by
+linearity of expectation its rate is a sum over groups and cache levels.
+Its closed kernel takes each term over the law of the number of distinct
+files of the group that are requested; with a scheduler, each term
+enumerates only the multisets of the group's own files, plus one entry
+that stands for every file outside the group.
 When the popularity is given as exact rationals every expectation here is
 an exact ``Fraction``; floats appear only for float popularities and
 plotting grids.
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import bisect, minimize_scalar
@@ -32,7 +34,6 @@ from .combinatorics import _require_int
 from .delivery import Scheduler, exhaustive_schedule
 from .errors import LimitExceededError, ValidationError
 from .placement import (
-    CacheState,
     PlacementConfig,
     _normalize_popularity,
     make_config,
@@ -54,47 +55,31 @@ _MAX_POINTS = 20_000
 
 
 def _demand_multisets(num_files: int, users: int):
-    """Sorted representative, per-file counts, and permutation multiplicity."""
-    for rep in itertools.combinations_with_replacement(range(1, num_files + 1), users):
-        counts = Counter(rep)
-        weight = math.factorial(users)
-        for c in counts.values():
-            weight //= math.factorial(c)
-        yield rep, counts, weight
-
-
-def _probability(popularity: Sequence[Number], counts: Mapping[int, int], exact: bool):
-    prob = Fraction(1) if exact else 1.0
-    for f, c in counts.items():
-        prob *= popularity[f - 1] ** c
-    return prob
-
-
-def _multiset_expectation(
-    popularity: Sequence[Number],
-    users: int,
-    make_rate: Callable[[], Callable[[tuple[int, ...]], Number]],
-):
-    """``sum weight * P(rep) * rate(rep)`` over the demand multisets.
-
-    ``rep`` is a multiset's sorted representative and ``weight`` the number
-    of request vectors that sort to it; ``rate = make_rate()`` is built
-    only once the guard has passed.  Exact rational popularity gives an
-    exact rational result.  Raises :class:`LimitExceededError` when the
-    ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``.
-    """
-    n = len(popularity)
-    count = comb(n + users - 1, users)
+    """The demand multisets, each as its sorted representative.  Raises
+    :class:`LimitExceededError` when called, not when iterated, if the
+    ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``."""
+    count = comb(num_files + users - 1, users)
     if count > ENUMERATION_LIMIT:
         raise LimitExceededError(
             f"{count} demand multisets exceed the limit {ENUMERATION_LIMIT}; "
             "use expected_rate_mc instead"
         )
-    rate = make_rate()
+    return itertools.combinations_with_replacement(range(1, num_files + 1), users)
+
+
+def _multiset_expectation(popularity: Sequence[Number], multisets, rate: Callable):
+    """``sum weight * P(rep) * rate(rep)`` over the :func:`_demand_multisets`
+    of ``len(popularity)`` files, with ``weight`` the number of request
+    vectors that sort to ``rep``; multisets of probability 0 are not rated.
+    Exact rational popularity gives an exact rational result."""
     exact = all(isinstance(p, Fraction) for p in popularity)
     total = Fraction(0) if exact else 0.0
-    for rep, counts, weight in _demand_multisets(n, users):
-        prob = _probability(popularity, counts, exact)
+    for rep in multisets:
+        weight = math.factorial(len(rep))
+        prob = Fraction(1) if exact else 1.0
+        for f, c in Counter(rep).items():
+            weight //= math.factorial(c)
+            prob *= popularity[f - 1] ** c
         if prob == 0:
             continue
         total += weight * prob * rate(rep)
@@ -117,12 +102,9 @@ def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
     anything is placed, when the ``C(N+K-1, K)`` multisets exceed
     ``ENUMERATION_LIMIT``.
     """
-
-    def make_rate():
-        cache = place(cfg)
-        return lambda rep: scheduler(cache, rep).rate
-
-    return _multiset_expectation(cfg.popularity, cfg.users, make_rate)
+    multisets = _demand_multisets(cfg.num_files, cfg.users)
+    cache = place(cfg)
+    return _multiset_expectation(cfg.popularity, multisets, lambda rep: scheduler(cache, rep).rate)
 
 
 @dataclass(frozen=True)
@@ -188,19 +170,31 @@ def _const(p: Number, num: int, den: int) -> Number:
     return Fraction(num, den) if isinstance(p, Fraction) else num / den
 
 
+def _shared_chains(p: Number) -> Number:  # beta r = (2, 1)
+    return _const(p, 2, 3) - p**3 / 3
+
+
+def _popular_only(p: Number) -> Number:  # beta r = (3, 0), also alpha's two groups
+    return 1 - p**3
+
+
+def _one_group(p: Number) -> Number:  # alpha's one memory-shared group
+    q = 1 - p
+    return _const(p, 2, 3) - (p**3 + q**3) / 6
+
+
 def rate_beta_closed(p) -> Number:
     """Expected rate of the cross-group strategy at cache size 1:
     min of the (2, 1) and (3, 0) placements."""
     p = _as_p(p)
-    return min(_const(p, 2, 3) - p**3 / 3, 1 - p**3)
+    return min(_shared_chains(p), _popular_only(p))
 
 
 def rate_alpha_closed(p) -> Number:
     """Expected rate of the grouping baseline at cache size 1:
     min of the one-group (memory-shared) and two-group placements."""
     p = _as_p(p)
-    q = 1 - p
-    return min(_const(p, 2, 3) - (p**3 + q**3) / 6, 1 - p**3)
+    return min(_one_group(p), _popular_only(p))
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +221,8 @@ def memory_rate_table(p) -> tuple[RatePoint, ...]:
         ((0, 0), 2 - p**3 - q**3),
         ((1, 0), _const(p, 5, 3) - p**3 - _const(p, 2, 3) * q**3),
         ((1, 1), 1 - p**3 / 3 - q**3 / 3),
-        ((2, 1), _const(p, 2, 3) - p**3 / 3),
-        ((3, 0), 1 - p**3),
+        ((2, 1), _shared_chains(p)),
+        ((3, 0), _popular_only(p)),
         ((2, 2), _const(p, 1, 3)),
         ((3, 1), _const(p, 2, 3) - _const(p, 2, 3) * p**3),
         ((3, 2), _const(p, 1, 3) - _const(p, 1, 3) * p**3),
@@ -338,7 +332,7 @@ def memory_share(users: int, size: int, memory) -> tuple[tuple[Fraction, int], .
     """Decompose a per-group cache size into one or two integer levels.
 
     Returns ``((weight, t), ...)`` where each level-``t`` placement is
-    applied to a `weight` fraction of every file in the group.
+    applied to a positive `weight` fraction of every file in the group.
     """
     _require_int("user count", users, 1)
     _require_int("group size", size, 1)
@@ -400,14 +394,13 @@ def _level_rates(users: int, group_pop: tuple, rest) -> tuple:
     )
 
 
-def _group_level_rates(users: int, sizes: Sequence[int], pop: tuple) -> list[tuple]:
-    """:func:`_level_rates` of every contiguous group of a normalized
-    popularity, in group order."""
+def _groups(sizes: Sequence[int], pop: tuple):
+    """``(size, group popularity, popularity outside)`` of every contiguous
+    group of a normalized popularity, in group order."""
     exact = all(isinstance(p, Fraction) for p in pop)
     if not exact:
         pop = tuple(float(p) for p in pop)
     zero = Fraction(0) if exact else 0.0
-    out = []
     lo = 0
     for size in sizes:
         hi = lo + size
@@ -415,9 +408,28 @@ def _group_level_rates(users: int, sizes: Sequence[int], pop: tuple) -> list[tup
         # only within a tolerance, and this total keeps the result equal to
         # the sum over demands
         rest = sum(pop[:lo], zero) + sum(pop[hi:], zero)
-        out.append(_level_rates(users, pop[lo:hi], rest))
+        yield size, pop[lo:hi], rest
         lo = hi
-    return out
+
+
+def _scheduled_level_rate(
+    users: int, size: int, group_pop: tuple, rest, t: int, scheduler: Scheduler
+):
+    """Expected rate of `scheduler` on one group placed alone at level `t`.
+
+    The demand multisets run over the group's files plus, when `rest` is
+    not 0, one outside entry of popularity `rest`; a user who draws it
+    requests nothing from this group.
+    """
+    entries = group_pop + ((rest,) if rest else ())
+    multisets = _demand_multisets(len(entries), users)
+    cache = place_alpha(make_config(users, [size], [t], strategy="alpha"))
+
+    def rate(rep: tuple[int, ...]) -> Number:
+        local = {k + 1: f for k, f in enumerate(rep) if f <= size}
+        return scheduler(cache, local).rate if local else 0
+
+    return _multiset_expectation(entries, multisets, rate)
 
 
 def alpha_expected_rate(
@@ -429,72 +441,38 @@ def alpha_expected_rate(
 ):
     """Expected rate of the grouping baseline for a given memory split.
 
-    Every group is served independently: its cache level is memory-shared
-    into at most two integer levels, each placed with the one-level scheme.
-    By linearity of expectation the rate is a sum over groups, and the
-    closed kernel :func:`classic_rate` sees a group only through D, the
-    number of its files that are requested.  So without `scheduler` the
-    result is ``sum_g sum_(w, t) w * E[classic_rate(K, t, D_g)]``, with the
-    law of each D_g computed exactly by :func:`_distinct_law`; no demand
-    vector is enumerated and ``N**K`` is not bounded.  The expectation of
-    a group depends only on its popularities, so it is computed once and
-    reused across calls.  With `scheduler` set (e.g. the exhaustive
-    solver) per-group rates come from actual schedules on the per-group
-    placements, summed over every demand multiset; that path raises
-    :class:`LimitExceededError` when the ``C(N+K-1, K)`` multisets exceed
-    ``ENUMERATION_LIMIT``.
+    Every group is served alone: its cache level is memory-shared into at
+    most two integer levels, each placed with the one-level scheme.  By
+    linearity of expectation the rate is ``sum_g sum_(w, t) w * R_g(t)``,
+    with ``R_g(t)`` the expected rate of group g alone at level t.
+    Without `scheduler`, ``R_g(t) = E[classic_rate(K, t, D_g)]`` over the
+    exact law of D_g, the number of the group's files that are requested
+    (:func:`_distinct_law`): no demand is enumerated, ``N**K`` is not
+    bounded, and each group's level rates are cached across calls.  With
+    `scheduler` set (e.g. the exhaustive solver), ``R_g(t)`` is its
+    expected rate on the group's own placement, over the demand multisets
+    of the group's files plus one entry for all files outside it.  The
+    limit is checked per group: :class:`LimitExceededError` is raised,
+    before that group is placed, when its ``C(N_g + K - 1, K)`` multisets
+    exceed ``ENUMERATION_LIMIT`` (N_g is the group size, plus 1 if a file
+    outside the group has nonzero popularity).
     """
     if len(sizes) != len(memories):
         raise ValidationError("sizes and memories must have the same length")
     # memory_share checks the user count and every group size
     shares = [memory_share(users, s, m) for s, m in zip(sizes, memories)]
     pop = _normalize_popularity(popularity)
-    n = len(pop)
-    if sum(sizes) != n:
+    if sum(sizes) != len(pop):
         raise ValidationError("group sizes must cover every file exactly once")
-    if scheduler is None:
-        exact = all(isinstance(p, Fraction) for p in pop)
-        total = Fraction(0) if exact else 0.0
-        for rates, share in zip(_group_level_rates(users, sizes, pop), shares):
-            for w, t in share:
-                if w:
-                    total += w * rates[t]
-        return total
-
-    def make_rate():
-        starts = [1 + sum(sizes[:i]) for i in range(len(sizes))]
-        piece_caches: dict[tuple[int, int], CacheState] = {}
-        for gi, size in enumerate(sizes):
-            for _, t in shares[gi]:
-                if (gi, t) not in piece_caches:
-                    sub = make_config(users, [size], [t], strategy="alpha")
-                    piece_caches[(gi, t)] = place_alpha(sub)
-
-        rate_memo: dict[tuple[int, int, tuple[tuple[int, int], ...]], Fraction] = {}
-
-        def piece_rate(gi: int, t: int, local_demand: dict[int, int]) -> Fraction:
-            key = (gi, t, tuple(sorted(local_demand.items())))
-            if key not in rate_memo:
-                rate_memo[key] = scheduler(piece_caches[(gi, t)], local_demand).rate
-            return rate_memo[key]
-
-        def rate(rep: tuple[int, ...]) -> Fraction:
-            total = Fraction(0)
-            for gi, size in enumerate(sizes):
-                lo, hi = starts[gi], starts[gi] + size
-                local = {
-                    k + 1: f - lo + 1 for k, f in enumerate(rep) if lo <= f < hi
-                }
-                if not local:
-                    continue
-                for w, t in shares[gi]:
-                    if w:
-                        total += w * piece_rate(gi, t, local)
-            return total
-
-        return rate
-
-    return _multiset_expectation(pop, users, make_rate)
+    exact = all(isinstance(p, Fraction) for p in pop)
+    total = Fraction(0) if exact else 0.0
+    for (size, group_pop, rest), share in zip(_groups(sizes, pop), shares):
+        for w, t in share:
+            if scheduler is None:
+                total += w * _level_rates(users, group_pop, rest)[t]
+            else:
+                total += w * _scheduled_level_rate(users, size, group_pop, rest, t, scheduler)
+    return total
 
 
 def beta_points(
@@ -530,20 +508,17 @@ def alpha_points(users: int, popularity: Sequence) -> tuple[RatePoint, ...]:
     expected rate at its level ``t_g``."""
     _require_int("user count", users, 1)
     pop = _normalize_popularity(popularity)
-    n = len(pop)
     zero = Fraction(0) if all(isinstance(p, Fraction) for p in pop) else 0.0
     out = []
-    for comp in _compositions(n):
+    for comp in _compositions(len(pop)):
         count = (users + 1) ** len(comp)
         if len(out) + count > _MAX_POINTS:
             raise LimitExceededError(f"grouping sweep exceeds {_MAX_POINTS} points")
-        levels = _group_level_rates(users, comp, pop)
+        levels = [_level_rates(users, gp, rest) for _, gp, rest in _groups(comp, pop)]
         for ts in itertools.product(range(users + 1), repeat=len(comp)):
             rate = sum((rates[t] for rates, t in zip(levels, ts)), zero)
             m = Fraction(sum(t * s for t, s in zip(ts, comp)), users)
-            out.append(
-                RatePoint(m, rate, label=f"alpha groups={comp} t={ts}", params=ts)
-            )
+            out.append(RatePoint(m, rate, label=f"alpha groups={comp} t={ts}", params=ts))
     return tuple(out)
 
 
@@ -592,26 +567,20 @@ def default_p_grid(points: int = 101) -> tuple[float, ...]:
 
 def compare_strategies(p_grid: Sequence | None = None) -> StrategyComparison:
     """Compare the two strategies at cache size 1 for the 3-user / 2-file
-    setup: sampled curves, the two crossover probabilities (bisection to
-    1e-9), and the point of largest relative gain."""
+    setup: sampled curves, the two crossover probabilities (the alpha
+    branches' by bisection to 1e-9, the beta branches' in closed form), and
+    the point of largest relative gain."""
     grid = tuple(p_grid) if p_grid is not None else default_p_grid()
     if not grid:
         raise ValidationError("the probability grid cannot be empty")
-    alpha = RateCurve(
-        "R_alpha", "p", tuple((p, rate_alpha_closed(p)) for p in grid)
-    )
+    alpha = RateCurve("R_alpha", "p", tuple((p, rate_alpha_closed(p)) for p in grid))
     beta = RateCurve("R_beta", "p", tuple((p, rate_beta_closed(p)) for p in grid))
 
-    def alpha_branch_gap(p: float) -> float:
-        q = 1 - p
-        return (2 / 3 - (p**3 + q**3) / 6) - (1 - p**3)
-
-    def equal_gap(p: float) -> float:
-        return (2 / 3 - p**3 / 3) - (1 - p**3)
-
-    hi = 1.0 - 1e-12
-    branch = float(bisect(alpha_branch_gap, 0.5, hi, xtol=ROOT_TOLERANCE))
-    equal = float(bisect(equal_gap, 0.5, hi, xtol=ROOT_TOLERANCE))
+    branch = float(
+        bisect(lambda p: _one_group(p) - _popular_only(p), 0.5, 1.0 - 1e-12, xtol=ROOT_TOLERANCE)
+    )
+    # the beta branches meet where 2/3 - p**3 / 3 = 1 - p**3, so p**3 = 1/2
+    equal = 2 ** (-1 / 3)
 
     result = minimize_scalar(
         lambda p: rate_beta_closed(p) / rate_alpha_closed(p),

@@ -194,6 +194,26 @@ def test_deliver_all_demands_verified(toy_path, tmp_path):
     assert all(s["verified"] for s in data["schedules"])
 
 
+@pytest.mark.parametrize(
+    "demand, says", [("A,A", "2 entries for 3 users"), ("1,1,2,1", "4 entries"), ("0,1,1", "outside")]
+)
+def test_deliver_demand_count_and_range_exit_2(toy_path, capsys, demand, says):
+    assert main(["deliver", str(toy_path), "--demand", demand]) == 2
+    assert says in capsys.readouterr().err
+
+
+def test_deliver_all_demands_of_one_file_keeps_the_list(tmp_path):
+    # one file gives one request vector; --all-demands still writes a list
+    cfg = dict(TOY, groups=[{"size": 1, "r": 1}], popularity=["1"])
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "all.json"
+    assert main(["deliver", str(path), "--all-demands", "--verify", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert [s["demand"] for s in data["schedules"]] == [[1, 1, 1]]
+    assert data["schedules"][0]["verified"]
+
+
 def test_deliver_budget_exit_4(tmp_path, capsys):
     # 2**13 = 8192 request vectors exceed the 4096 that --all-demands schedules
     cfg = dict(TOY, K=13, groups=[{"size": 2, "r": 0}], popularity=["1/2", "1/2"])

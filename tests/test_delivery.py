@@ -284,6 +284,20 @@ def test_toy_schedule_rejects_other_setups():
 
 
 @pytest.mark.parametrize(
+    "demand", [(1, 1, True), (1, 1.0, 2), {1: 1, 2: 2}, {1: 1, 2: 1, 4: 2}], ids=str
+)
+def test_toy_schedule_validates_like_every_scheduler(demand):
+    # True is no file 1, 1.0 no file 1, and a mapping must name all 3 users
+    with pytest.raises(ValidationError):
+        toy_schedule(demand)
+
+
+def test_toy_schedule_accepts_a_full_mapping():
+    assert toy_schedule({1: 1, 2: 1, 3: 2}) == toy_schedule((1, 1, 2))
+    assert toy_schedule({3: 1, 1: 2, 2: 1}) == toy_schedule((2, 1, 1))
+
+
+@pytest.mark.parametrize(
     "cfg",
     [make_config(3, [1, 1], [3, 0]), make_config(3, [1, 1], [2, 1], strategy="alpha")],
     ids=["beta-r30", "alpha-r21"],
@@ -613,6 +627,14 @@ def test_schedule_json_round_trip():
     assert data["demand"] == [1, 2, 2]
     again = schedule_from_json(data)
     assert again == schedule
+
+
+@pytest.mark.parametrize("file", [True, 1.0, "1"], ids=repr)
+def test_schedule_json_rejects_a_file_that_is_no_integer(file):
+    data = schedule_to_json(toy_schedule((1, 2, 2)), 3)
+    data["messages"][0]["summands"][0]["file"] = file
+    with pytest.raises(ValidationError, match="file must be an integer"):
+        schedule_from_json(data)
 
 
 def test_schedule_json_rejects_garbage():

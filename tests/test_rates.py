@@ -358,9 +358,9 @@ def _enumerated_alpha_rate(users, sizes, memories, popularity):
 
 
 @st.composite
-def alpha_cases(draw, exact=True):
-    users = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 4))
+def alpha_cases(draw, exact=True, max_users=5, max_files=4):
+    users = draw(st.integers(1, max_users))
+    n = draw(st.integers(1, max_files))
     cuts = draw(st.sets(st.integers(1, n - 1))) if n > 1 else set()
     bounds = [0, *sorted(cuts), n]
     sizes = [b - a for a, b in zip(bounds, bounds[1:])]
@@ -406,6 +406,26 @@ def test_alpha_closed_kernel_has_no_demand_limit(monkeypatch):
     monkeypatch.setattr(rates, "place_alpha", _unreachable)
     with pytest.raises(LimitExceededError, match="expected_rate_mc"):
         alpha_expected_rate(13, [12], [Fraction(0)], p, scheduler=EXHAUSTIVE)
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha_cases(max_users=4, max_files=3))
+def test_alpha_scheduler_path_equals_closed_kernel(case):
+    # the exhaustive solver reaches the leader-based rate on every demand
+    # of a group placed alone, so both paths give the same expectation
+    users, sizes, memories, popularity = case
+    closed = alpha_expected_rate(users, sizes, memories, popularity)
+    searched = alpha_expected_rate(users, sizes, memories, popularity, scheduler=EXHAUSTIVE)
+    assert searched == closed
+
+
+def test_alpha_scheduler_path_rates_each_group_alone():
+    # all 12 files requested over K = 13 users would be C(24, 13) = 2,496,144
+    # demand multisets; each singleton group sees only its file and the
+    # outside entry, C(14, 13) = 14 multisets
+    p = [Fraction(k, 78) for k in range(1, 13)]
+    got = alpha_expected_rate(13, [1] * 12, [Fraction(0)] * 12, p, scheduler=EXHAUSTIVE)
+    assert got == sum(1 - (1 - x) ** 13 for x in p)
 
 
 def test_alpha_scheduler_path_counts_the_multisets_rated():
