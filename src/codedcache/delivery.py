@@ -320,8 +320,8 @@ _TOY_TABLE: dict[tuple[int, ...], tuple[tuple[Pair, ...], ...]] = {
 
 
 def toy_cache() -> CacheState:
-    """Placement of the reference setup (cached module-level would be fine;
-    recomputing keeps this trivially correct)."""
+    """A fresh placement of the reference setup: 3 users, 2 files, strategy
+    ``beta`` with r = (2, 1), which is what :func:`toy_schedule` serves."""
     return place_beta(toy_config())
 
 

@@ -161,6 +161,8 @@ def make_config(
 
 def toy_config(p: Number | str = Fraction(1, 2)) -> PlacementConfig:
     """The 3-user / 2-file reference setup: two singleton groups, r = (2, 1)."""
+    if isinstance(p, bool):
+        raise ValidationError(f"probability {p!r} is not a number")
     p = Fraction(p) if isinstance(p, (int, str, Fraction)) else p
     q = 1 - p
     return make_config(3, [1, 1], [2, 1], [p, q])
@@ -342,8 +344,9 @@ def load_config(path) -> PlacementConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config is not valid JSON: {exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+            # RecursionError: nested deeper than the decoder's recursion limit
+            raise ValidationError(f"config is not valid UTF-8 JSON: {exc}") from exc
     return config_from_json(data)
 
 

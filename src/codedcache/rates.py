@@ -12,7 +12,8 @@ enumerates only the multisets of the group's own files, plus one entry
 that stands for every file outside the group.
 When the popularity is given as exact rationals every expectation here is
 an exact ``Fraction``; floats appear only for float popularities and
-plotting grids.
+plotting grids.  No numerical solver is used: the K = 3 comparison's
+crossings are closed-form roots.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from math import comb
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import bisect, minimize_scalar
 
 from .combinatorics import _require_int
 from .delivery import Scheduler, exhaustive_schedule
@@ -44,7 +44,6 @@ from .placement import (
 Number = Fraction | float
 
 ENUMERATION_LIMIT = 10**6
-ROOT_TOLERANCE = 1e-9
 # most (M, R) points alpha_points lists
 _MAX_POINTS = 20_000
 
@@ -128,6 +127,7 @@ def expected_rate_mc(
     own when its rate depends on user labels.
     """
     _require_int("samples", samples, 1)
+    _require_int("seed", seed, 0)
     n, k = cfg.num_files, cfg.users
     probs = np.array([float(p) for p in cfg.popularity])
     probs = probs / probs.sum()
@@ -154,10 +154,10 @@ def expected_rate_mc(
 
 
 def _as_p(p) -> Number:
+    if isinstance(p, bool) or not isinstance(p, (int, str, Fraction, float)):
+        raise ValidationError(f"probability {p!r} is not a number")
     if isinstance(p, (int, str)):
         p = Fraction(p)
-    if not (isinstance(p, Fraction) or isinstance(p, float)):
-        raise ValidationError(f"probability {p!r} is not a number")
     if not Fraction(1, 2) <= p <= 1:
         raise ValidationError(
             f"probability of the popular file must be in [1/2, 1], got {p}; "
@@ -562,39 +562,38 @@ class StrategyComparison:
 
 
 def default_p_grid(points: int = 101) -> tuple[float, ...]:
+    _require_int("points", points, 1)
     return tuple(float(x) for x in np.linspace(0.5, 1.0, points))
 
 
 def compare_strategies(p_grid: Sequence | None = None) -> StrategyComparison:
     """Compare the two strategies at cache size 1 for the 3-user / 2-file
-    setup: sampled curves, the two crossover probabilities (the alpha
-    branches' by bisection to 1e-9, the beta branches' in closed form), and
-    the point of largest relative gain."""
+    setup: sampled curves, the two crossover probabilities and the point of
+    largest relative gain, all in closed form.
+
+    The alpha branches meet at the real root p* of ``2p**3 - p**2 + p - 1``;
+    ``p = x + 1/6`` gives ``x**3 + (5/12) x - 23/54``, solved by Cardano's
+    formula.  The beta branches meet where ``p**3 = 1/2``.  The gain
+    ``R_beta / R_alpha`` peaks at p*: below it the ratio is
+    ``_shared_chains / _one_group``, which falls; up to ``2**(-1/3)`` it is
+    ``(1 + 1 / (1 - p**3)) / 3``, which rises; beyond, it is 1.
+    """
     grid = tuple(p_grid) if p_grid is not None else default_p_grid()
     if not grid:
         raise ValidationError("the probability grid cannot be empty")
     alpha = RateCurve("R_alpha", "p", tuple((p, rate_alpha_closed(p)) for p in grid))
     beta = RateCurve("R_beta", "p", tuple((p, rate_beta_closed(p)) for p in grid))
 
-    branch = float(
-        bisect(lambda p: _one_group(p) - _popular_only(p), 0.5, 1.0 - 1e-12, xtol=ROOT_TOLERANCE)
-    )
-    # the beta branches meet where 2/3 - p**3 / 3 = 1 - p**3, so p**3 = 1/2
-    equal = 2 ** (-1 / 3)
-
-    result = minimize_scalar(
-        lambda p: rate_beta_closed(p) / rate_alpha_closed(p),
-        bounds=(0.5, equal),
-        method="bounded",
-        options={"xatol": ROOT_TOLERANCE},
-    )
+    h = 23 / 108  # cube roots as ** (1 / 3): math.cbrt needs Python 3.11
+    s = math.sqrt(h**2 + (5 / 36) ** 3)
+    branch = 1 / 6 + (h + s) ** (1 / 3) - (s - h) ** (1 / 3)
     return StrategyComparison(
         alpha=alpha,
         beta=beta,
         alpha_branch_threshold=branch,
-        equal_threshold=equal,
-        max_gain_p=float(result.x),
-        max_gain_ratio=float(result.fun),
+        equal_threshold=2 ** (-1 / 3),
+        max_gain_p=branch,
+        max_gain_ratio=rate_beta_closed(branch) / rate_alpha_closed(branch),
     )
 
 

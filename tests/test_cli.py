@@ -83,6 +83,27 @@ def test_place_malformed_config_field_exits_2(tmp_path, capsys, change, says):
 
 
 @pytest.mark.parametrize(
+    "content",
+    [b'\xff\xfe{"K":3}', b"[" * 100_000],
+    ids=["not-utf8", "nested-too-deep"],
+)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["place", "{cfg}", "--out", "{tmp}/cache.json"],
+        ["deliver", "{cfg}", "--demand", "1,1,2"],
+        ["rates", "{cfg}", "--p-grid", "0.5"],
+    ],
+    ids=["place", "deliver", "rates"],
+)
+def test_undecodable_config_exits_2(tmp_path, capsys, content, argv):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main([a.format(cfg=path, tmp=tmp_path) for a in argv]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["place", "{tmp}/missing.json", "--out", "{tmp}/cache.json"],

@@ -1,7 +1,11 @@
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +25,7 @@ from codedcache import (
     beta_points,
     classic_rate,
     compare_strategies,
+    default_p_grid,
     exhaustive_schedule,
     expected_rate_exact,
     expected_rate_mc,
@@ -299,12 +304,26 @@ THIRDS = [Fraction(1, 3)] * 3
         lambda: split_by_popularity([Fraction(1, 2)] * 2, [3, -1]),
         lambda: split_by_popularity(THIRDS, [1.5, 1.5]),
         lambda: expected_rate_mc(toy_config(), greedy_schedule, 2.5, 0),
+        lambda: rate_alpha_closed(True),
+        lambda: rate_beta_closed(True),
+        lambda: compare_strategies([0.5, 0.6, True]),
+        lambda: toy_config(True),
+        lambda: expected_rate_mc(toy_config(), greedy_schedule, 10, True),
+        lambda: expected_rate_mc(toy_config(), greedy_schedule, 10, -1),
+        lambda: expected_rate_mc(toy_config(), greedy_schedule, 10, 1.5),
+        lambda: expected_rate_mc(toy_config(), greedy_schedule, 10, "3"),
+        lambda: default_p_grid(-1),
+        lambda: default_p_grid(2.5),
+        lambda: default_p_grid(True),
     ],
     ids=[
         "alpha_points-K0", "alpha_points-K-1", "alpha_points-Ktrue",
         "alpha_rate-size1.5", "alpha_rate-K0", "alpha_rate-size-1",
         "memory_share-K0", "memory_share-size1.5",
         "split-size-1", "split-size1.5", "mc-samples2.5",
+        "alpha_closed-ptrue", "beta_closed-ptrue", "compare-ptrue", "toy_config-ptrue",
+        "mc-seedtrue", "mc-seed-1", "mc-seed1.5", "mc-seedstr",
+        "p_grid-1", "p_grid2.5", "p_gridtrue",
     ],
 )
 def test_user_counts_and_group_sizes_must_be_positive_ints(call):
@@ -532,6 +551,49 @@ def test_beta_never_above_alpha_and_strictly_below_in_gain_window():
 def test_empty_grid_rejected():
     with pytest.raises(ValidationError):
         compare_strategies([])
+
+
+def _fraction_grid(lo: float, hi: float, steps: int = 2000) -> list[Fraction]:
+    lo, hi = Fraction(lo), Fraction(hi)
+    return [lo + (hi - lo) * i / steps for i in range(steps + 1)]
+
+
+def test_gain_falls_to_the_alpha_crossing_then_rises():
+    cmp = compare_strategies([0.5])
+    p_star = cmp.alpha_branch_threshold
+    below = [rates._shared_chains(p) / rates._one_group(p) for p in _fraction_grid(0.5, p_star)]
+    assert all(a > b for a, b in zip(below, below[1:]))
+    above = [
+        rates._shared_chains(p) / rates._popular_only(p)
+        for p in _fraction_grid(p_star, cmp.equal_threshold)
+    ]
+    assert all(a < b for a, b in zip(above, above[1:]))
+    assert cmp.max_gain_p == p_star
+
+
+def test_alpha_crossing_solves_the_cubic():
+    p = compare_strategies([0.5]).alpha_branch_threshold
+    assert abs(2 * p**3 - p**2 + p - 1) <= 1e-15
+
+
+def test_max_gain_is_below_every_sampled_ratio():
+    cmp = compare_strategies()
+    for p in default_p_grid():
+        # multiplied out, since R_alpha is 0 at p = 1
+        assert cmp.max_gain_ratio * rate_alpha_closed(p) <= rate_beta_closed(p)
+
+
+def test_import_does_not_load_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys, codedcache\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
