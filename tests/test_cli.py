@@ -245,6 +245,42 @@ def test_deliver_budget_exit_4(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+# sha256 of the `deliver --out` file, taken while the CLI still wrote
+# json.dumps(..., indent=2) of one dict per message.  The alpha configs
+# mix piece sizes; K = 10 pins the {1,2} brace form of the message labels.
+DELIVER_OUT_GOLDEN = [
+    ("beta", 4, [1, 1], [2, 1], ["--all-demands", "--verify"],
+     "b1588ed4a090a4cef75a45effabb285946e6179062bb90601177654f55603be1"),
+    ("alpha", 6, [1, 1], [3, 2], ["--demand", "1,2,1,1,2,2", "--verify"],
+     "a71fbfacaa9da5db27a21ea977f414a5717a5225b9ea056278eef791d55bc0dc"),
+    ("alpha", 6, [1, 1], [3, 2], ["--demand", "1,2,1,1,2,2"],
+     "ee74d95f9a166bf07137f70a7dd9b78bf4e922cfb082343280969c635df852a0"),
+    ("alpha", 10, [2], [2], ["--demand", "1,2,2,1,1,2,1,2,2,1", "--verify"],
+     "253f17c2e652f4d30aa704b4dc62d795c7d6607d7a6edea1e10755bdf946419d"),
+]
+
+
+@pytest.mark.parametrize(
+    "strategy, users, sizes, r, argv, digest",
+    DELIVER_OUT_GOLDEN,
+    ids=["beta-K4-all", "alpha-K6-verify", "alpha-K6-plain", "alpha-K10"],
+)
+def test_deliver_out_bytes_pinned(tmp_path, capsys, strategy, users, sizes, r, argv, digest):
+    cfg = {
+        "K": users,
+        "strategy": strategy,
+        "groups": [{"size": n, "r": v} for n, v in zip(sizes, r)],
+        "popularity": [f"1/{sum(sizes)}"] * sum(sizes),
+    }
+    path, out = tmp_path / "cfg.json", tmp_path / "sched.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["deliver", str(path), *argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+    assert main(["deliver", str(path), *argv]) == 0
+    assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+
+
 def test_rates_p_grid_single_point(toy_path, capsys):
     assert main(["rates", str(toy_path), "--p-grid", "1.0"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
