@@ -10,6 +10,8 @@ cannot be read or written), 3 verification failure, 4 resource limit
 exceeded.  Every file output gets a sibling
 ``<name>.manifest.json`` recording how it was produced.  Outputs are
 deterministic for a given config and seed, except manifest timestamps.
+The JSON layouts have one owner each: ``placement.cache_json_text`` for
+``place`` and ``delivery.schedules_json_text`` for ``deliver``.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from .delivery import (
     decodable,
     exhaustive_schedule,
     normalize_demand,
-    schedule_to_json,
+    schedule_text,
+    schedules_json_text,
 )
 from .errors import LimitExceededError, ValidationError
 from .placement import cache_json_text, load_config, place
@@ -134,31 +137,30 @@ def cmd_deliver(args) -> int:
         demands = [_parse_demand(args.demand)]
         normalize_demand(cache, demands[0])  # the count and the range of the files
 
-    results = []
+    entries = []
     failures = 0
     for demand in demands:
         schedule = scheduler(cache, demand)
-        entry = schedule_to_json(schedule, cfg.users, demand=demand)
+        verified = None
         if args.verify:
-            report = decodable(cache, schedule, demand)
-            entry["verified"] = report.ok
-            if not report.ok:
+            verified = decodable(cache, schedule, demand).ok
+            if not verified:
                 failures += 1
                 print(f"verification FAILED for demand {demand}", file=sys.stderr)
-        results.append(entry)
+        entries.append((schedule, demand, verified))
         if args.print_text:
-            print(f"demand {demand}: rate {entry['rate']}")
-            for m in entry["messages"]:
-                print(f"  {m['text']}")
+            rate = schedule.rate
+            print(f"demand {demand}: rate {rate.numerator}/{rate.denominator}")
+            for line in schedule_text(schedule, cfg.users):
+                print(f"  {line}")
 
-    payload = {"schedules": results} if args.all_demands else results[0]
     if args.out:
         out = Path(args.out)
-        out.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        out.write_text(schedules_json_text(entries, cfg.users, args.all_demands), encoding="utf-8")
         _write_manifest(out, "deliver", args.config)
         print(f"wrote {out}")
     elif not args.print_text:
-        print(json.dumps(payload, indent=2))
+        print(schedules_json_text(entries, cfg.users, args.all_demands), end="")
     return EXIT_VERIFY if failures else EXIT_OK
 
 

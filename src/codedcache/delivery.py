@@ -25,11 +25,16 @@ Three schedule producers are provided:
   candidate messages, used as the certification oracle at desk scale.
   Its bound per user is the needed-piece count less the pivots that land
   on needed columns in one in-place basis of the user's message span.
+
+:func:`schedules_json_text` owns the layout of the ``deliver`` output,
+one schedule record or a ``{"schedules": [...]}`` list of them;
+:func:`schedule_to_json` is parsed from its text.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -39,7 +44,7 @@ from typing import Callable, Mapping, Sequence
 from .combinatorics import SubfileIndex, _rank_table, _require_int, _users_from_mask
 from .errors import BudgetExceededError, UnsupportedConfigError, ValidationError
 from .gf2 import GF2Basis
-from .placement import CacheState, place_beta, toy_config
+from .placement import CacheState, _list_parts, _nl, place_beta, toy_config
 
 Pair = tuple[int, SubfileIndex]
 
@@ -686,35 +691,95 @@ def _set_text(members: tuple[int, ...], users: int) -> str:
     return "{" + ",".join(str(k) for k in members) + "}"
 
 
+def _summand_text(file: int, masks: tuple[int, ...], users: int) -> str:
+    subscript = ",".join(_set_text(_users_from_mask(m), users) for m in masks)
+    return f"{file_label(file)}_{{{subscript}}}"
+
+
 def message_text(message: DeliveryMessage, users: int) -> str:
-    parts = []
-    for f, idx in message.summands:
-        subscript = ",".join(_set_text(s, users) for s in idx.sets)
-        parts.append(f"{file_label(f)}_{{{subscript}}}")
-    return " + ".join(parts)
+    return " + ".join(_summand_text(f, idx.masks, users) for f, idx in message.summands)
 
 
 def schedule_text(schedule: DeliverySchedule, users: int) -> list[str]:
     return [message_text(m, users) for m in schedule.messages]
 
 
+def schedules_json_text(
+    entries: Sequence[tuple[DeliverySchedule, Sequence[int] | None, bool | None]],
+    users: int,
+    listed: bool,
+) -> str:
+    """The ``deliver`` output's text: ``json.dumps(..., indent=2)`` of the
+    record plus a final newline, byte for byte.
+
+    This function owns the layout; :func:`schedule_to_json` is parsed from
+    its text.  `entries` holds ``(schedule, demand, verified)`` triples; a
+    ``None`` demand or verdict leaves out its key.  `listed` writes the
+    ``{"schedules": [...]}`` form, otherwise the one schedule record.
+    Within a call every summand's block and label are rendered once per
+    (file, piece), every user subset once per mask, and the parts are
+    joined once.
+    """
+    # a schedule record opens `top` levels deep, so its messages sit at
+    # top + 2, their summands at top + 4, chains at top + 6 and users at top + 7
+    top = 2 if listed else 0
+    subsets: dict[int, str] = {}
+    summands: dict[tuple[int, tuple[int, ...]], tuple[str, tuple[str]]] = {}
+    piece_head = "{" + _nl(top + 5) + '"file": '
+    piece_mid = "," + _nl(top + 5) + '"chains": '
+    piece_tail = _nl(top + 4) + "}"
+    message_head = "{" + _nl(top + 3) + '"text": "'
+    message_mid = '",' + _nl(top + 3) + '"summands": '
+    message_tail = _nl(top + 2) + "}"
+
+    def summand(f: int, masks: tuple[int, ...]) -> tuple[str, tuple[str]]:
+        chains = []
+        for m in masks:
+            if m not in subsets:
+                members = [(str(k),) for k in _users_from_mask(m)]
+                subsets[m] = "".join(_list_parts(members, top + 6))
+            chains.append((subsets[m],))
+        block = piece_head + str(f) + piece_mid + "".join(_list_parts(chains, top + 5)) + piece_tail
+        # a label is letters, digits and "_{},-", none of which JSON escapes
+        return _summand_text(f, masks, users), (block,)
+
+    records = []
+    for schedule, demand, verified in entries:
+        messages = []
+        for message in schedule.messages:
+            labels, blocks = [], []
+            for f, idx in message.summands:
+                key = (f, idx.masks)
+                if key not in summands:
+                    summands[key] = summand(*key)
+                label, block = summands[key]
+                labels.append(label)
+                blocks.append(block)
+            messages.append(
+                [message_head + " + ".join(labels) + message_mid,
+                 *_list_parts(blocks, top + 3), message_tail]
+            )
+        rate = schedule.rate
+        record = [
+            "{" + _nl(top + 1) + f'"rate": "{rate.numerator}/{rate.denominator}",'
+            + _nl(top + 1) + '"messages": ',
+            *_list_parts(messages, top + 1),
+        ]
+        if demand is not None:
+            record.append("," + _nl(top + 1) + '"demand": ')
+            record += _list_parts([(json.dumps(f),) for f in demand], top + 1)
+        if verified is not None:
+            record.append("," + _nl(top + 1) + '"verified": ' + json.dumps(verified))
+        record.append(_nl(top) + "}")
+        records.append(record)
+    if listed:
+        return "".join(["{" + _nl(1) + '"schedules": ', *_list_parts(records, 1), "\n}\n"])
+    return "".join([*records[0], "\n"])
+
+
 def schedule_to_json(schedule: DeliverySchedule, users: int, demand=None) -> dict:
-    data = {
-        "rate": f"{schedule.rate.numerator}/{schedule.rate.denominator}",
-        "messages": [
-            {
-                "text": message_text(m, users),
-                "summands": [
-                    {"file": f, "chains": [list(s) for s in idx.sets]}
-                    for f, idx in m.summands
-                ],
-            }
-            for m in schedule.messages
-        ],
-    }
-    if demand is not None:
-        data["demand"] = list(demand)
-    return data
+    """One schedule's JSON record, parsed from :func:`schedules_json_text`."""
+    return json.loads(schedules_json_text([(schedule, demand, None)], users, listed=False))
 
 
 def schedule_from_json(data: Mapping) -> DeliverySchedule:

@@ -40,14 +40,19 @@ _POPULARITY_TOL = 1e-12
 Number = Fraction | float
 
 
+def _parse_fraction(text: str, name: str) -> Fraction:
+    """The exact value of a string such as "153/200" or "0.75"."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"{name} {text!r} is not a number") from exc
+
+
 def _normalize_popularity(values: Sequence[Number | int | str]) -> tuple[Number, ...]:
     out: list[Number] = []
     for v in values:
         if isinstance(v, str):
-            try:
-                out.append(Fraction(v))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValidationError(f"popularity entry {v!r} is not a number") from exc
+            out.append(_parse_fraction(v, "popularity entry"))
         elif isinstance(v, (int, Fraction)) and not isinstance(v, bool):
             out.append(Fraction(v))
         elif isinstance(v, float) and math.isfinite(v):
@@ -161,9 +166,12 @@ def make_config(
 
 def toy_config(p: Number | str = Fraction(1, 2)) -> PlacementConfig:
     """The 3-user / 2-file reference setup: two singleton groups, r = (2, 1)."""
-    if isinstance(p, bool):
+    if isinstance(p, bool) or not isinstance(p, (int, str, Fraction, float)):
         raise ValidationError(f"probability {p!r} is not a number")
-    p = Fraction(p) if isinstance(p, (int, str, Fraction)) else p
+    if isinstance(p, str):
+        p = _parse_fraction(p, "probability")
+    elif isinstance(p, (int, Fraction)):
+        p = Fraction(p)
     q = 1 - p
     return make_config(3, [1, 1], [2, 1], [p, q])
 

@@ -36,6 +36,7 @@ from .errors import LimitExceededError, ValidationError
 from .placement import (
     PlacementConfig,
     _normalize_popularity,
+    _parse_fraction,
     make_config,
     place,
     place_alpha,
@@ -156,7 +157,9 @@ def expected_rate_mc(
 def _as_p(p) -> Number:
     if isinstance(p, bool) or not isinstance(p, (int, str, Fraction, float)):
         raise ValidationError(f"probability {p!r} is not a number")
-    if isinstance(p, (int, str)):
+    if isinstance(p, str):
+        p = _parse_fraction(p, "probability")
+    elif isinstance(p, int):
         p = Fraction(p)
     if not Fraction(1, 2) <= p <= 1:
         raise ValidationError(

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -169,6 +170,18 @@ def test_deliver_print_text_lists_the_messages(toy_path, capsys):
         "  A_{13,1} + B_{12,2}",
         "  A_{13,3} + B_{23,2}",
     ]
+
+
+def test_deliver_print_text_all_demands_lists_every_request_vector(toy_path, capsys):
+    assert main(["deliver", str(toy_path), "--all-demands", "--print-text"]) == 0
+    cache = place_beta(toy_config(Fraction(153, 200)))
+    expected = []
+    for demand in itertools.product((1, 2), repeat=3):
+        schedule = delivery.greedy_schedule(cache, demand)
+        rate = schedule.rate
+        expected.append(f"demand {demand}: rate {rate.numerator}/{rate.denominator}")
+        expected += [f"  {line}" for line in delivery.schedule_text(schedule, 3)]
+    assert capsys.readouterr().out.splitlines() == expected
 
 
 @pytest.mark.parametrize(

@@ -645,6 +645,77 @@ def test_schedule_json_rejects_garbage():
             schedule_from_json({"messages": [], "rate": rate})
 
 
+def _schedule_dict(schedule, users, demand=None) -> dict:
+    """One schedule's JSON record built as a dict per message: the record
+    the rendered text must parse to."""
+    data = {
+        "rate": f"{schedule.rate.numerator}/{schedule.rate.denominator}",
+        "messages": [
+            {
+                "text": delivery.message_text(m, users),
+                "summands": [
+                    {"file": f, "chains": [list(s) for s in idx.sets]}
+                    for f, idx in m.summands
+                ],
+            }
+            for m in schedule.messages
+        ],
+    }
+    if demand is not None:
+        data["demand"] = list(demand)
+    return data
+
+
+@st.composite
+def deliver_outputs(draw):
+    """A placement, a scheduler that serves it, and the entries of one
+    ``deliver`` output: one entry, or a list of them."""
+    if draw(st.booleans()):
+        cfg, name = toy_config(), draw(st.sampled_from(["toy", "greedy", "exhaustive"]))
+    else:
+        users = draw(st.integers(1, 5))
+        levels = draw(st.integers(1, 2))
+        sizes = draw(st.lists(st.integers(1, 2), min_size=levels, max_size=levels))
+        r = draw(st.lists(st.integers(0, users), min_size=levels, max_size=levels))
+        strategy = draw(st.sampled_from(["beta", "alpha"]))
+        if strategy == "beta":
+            r.sort(reverse=True)
+        cfg = make_config(users, sizes, r, strategy=strategy)
+        # the exhaustive search fits its node budget up to K = 3
+        name = draw(st.sampled_from(["greedy", "exhaustive"] if users <= 3 else ["greedy"]))
+    listed = draw(st.booleans())
+    files = st.integers(1, cfg.num_files)
+    demands = st.lists(files, min_size=cfg.users, max_size=cfg.users).map(tuple)
+    count = draw(st.integers(1, 3)) if listed else 1
+    entries = []
+    for _ in range(count):
+        demand = draw(demands)
+        shown = demand if listed or draw(st.booleans()) else None
+        entries.append((demand, shown, draw(st.sampled_from([None, True, False]))))
+    return cfg, SCHEDULERS[name], entries, listed
+
+
+@settings(max_examples=80, deadline=None)
+@given(deliver_outputs())
+def test_schedules_json_text_is_the_indented_dump(case):
+    cfg, scheduler, entries, listed = case
+    cache = place(cfg)
+    rendered, records = [], []
+    for demand, shown, verified in entries:
+        schedule = scheduler(cache, demand)
+        rendered.append((schedule, shown, verified))
+        record = _schedule_dict(schedule, cfg.users, shown)
+        if verified is not None:
+            record["verified"] = verified
+        records.append(record)
+    payload = {"schedules": records} if listed else records[0]
+    text = delivery.schedules_json_text(rendered, cfg.users, listed)
+    assert text == json.dumps(payload, indent=2) + "\n"
+    parsed = json.loads(text)
+    for (schedule, _, _), data in zip(rendered, parsed["schedules"] if listed else [parsed]):
+        assert schedule_from_json(data) == schedule
+
+
 # ---------------------------------------------------------------------------
 # golden digests of the exhaustive schedules and the decoding certificates
 # ---------------------------------------------------------------------------

@@ -315,6 +315,11 @@ THIRDS = [Fraction(1, 3)] * 3
         lambda: default_p_grid(-1),
         lambda: default_p_grid(2.5),
         lambda: default_p_grid(True),
+        lambda: rate_alpha_closed("abc"),
+        lambda: rate_alpha_closed("1/0"),
+        lambda: rate_beta_closed("abc"),
+        lambda: toy_config("abc"),
+        lambda: toy_config(None),
     ],
     ids=[
         "alpha_points-K0", "alpha_points-K-1", "alpha_points-Ktrue",
@@ -324,6 +329,8 @@ THIRDS = [Fraction(1, 3)] * 3
         "alpha_closed-ptrue", "beta_closed-ptrue", "compare-ptrue", "toy_config-ptrue",
         "mc-seedtrue", "mc-seed-1", "mc-seed1.5", "mc-seedstr",
         "p_grid-1", "p_grid2.5", "p_gridtrue",
+        "alpha_closed-pword", "alpha_closed-pdiv0", "beta_closed-pword", "toy_config-pword",
+        "toy_config-pnone",
     ],
 )
 def test_user_counts_and_group_sizes_must_be_positive_ints(call):
