@@ -25,6 +25,13 @@ Three schedule producers are provided:
   candidate messages, used as the certification oracle at desk scale.
   Its bound per user is the needed-piece count less the pivots that land
   on needed columns in one in-place basis of the user's message span.
+  Its iterative deepening starts at the piece-count chain bound, and a
+  branch is cut once some user lacks more than the candidates left that
+  reach it.
+
+:func:`chain_bound` is the lower bound on any delivery's rate: the best
+sum, over users with distinct files taken in order, of the share of each
+one's file that none of them so far holds.
 
 :func:`schedules_json_text` owns the layout of the ``deliver`` output,
 one schedule record or a ``{"schedules": [...]}`` list of them;
@@ -284,6 +291,63 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
         if user_missing:
             missing[k] = tuple(user_missing)
     return DecodeReport(ok=not missing, certificates=certificates, missing=missing)
+
+
+# ---------------------------------------------------------------------------
+# Chain lower bound
+# ---------------------------------------------------------------------------
+
+
+def _chain_dp(cache: CacheState, dem: Mapping[int, int], weights: Mapping[int, object]):
+    """The largest sum, over users u1..um with distinct files taken in
+    order, of the weighted pieces of each file d(u_i) that none of
+    u1..ui holds; ``weights[f]`` is one piece of file ``f``.
+
+    A DP over sets of users with at most one user per file: a set's best
+    sum is its best predecessor's plus the term of the user added last,
+    and that term depends only on the set.  Each file keeps a tally of its
+    piece counts by holder mask, so a term is the sum of the tallies whose
+    mask misses the set.
+    """
+    tallies: dict[int, dict[int, int]] = {}
+    for f in set(dem.values()):
+        tally = tallies[f] = {}
+        for mask in cache.masks[f - 1]:
+            tally[mask] = tally.get(mask, 0) + 1
+    best = 0
+    layer = {0: (0, 0)}  # user set -> (best sum, its files as a bit set)
+    while layer:
+        grown_layer: dict[int, tuple[object, int]] = {}
+        for members, (total, files) in layer.items():
+            for k, f in dem.items():
+                bit = 1 << (k - 1)
+                if members & bit or files >> f & 1:
+                    continue
+                grown = members | bit
+                term = sum(count for mask, count in tallies[f].items() if not mask & grown)
+                value = total + weights[f] * term
+                if grown not in grown_layer or value > grown_layer[grown][0]:
+                    grown_layer[grown] = (value, files | 1 << f)
+                best = max(best, value)
+        layer = grown_layer
+    return best
+
+
+def chain_bound(cache: CacheState, demand) -> Fraction:
+    """Lower bound, in file units, on the rate of any delivery for this
+    placement and demand, linear or not.
+
+    The maximum, over users u1..um with distinct files taken in order, of
+    the summed share of each file d(u_i) that none of u1..ui holds: user
+    u_i decodes its file from the broadcast, the caches of u1..ui and the
+    files already decoded, so the broadcast carries all of it that they
+    lack.  This is the converse of Yu, Maddah-Ali and Avestimehr (arXiv
+    1609.07817), an acyclic set of the side-information graph.  `demand`
+    is a full vector or a partial ``{user: file}`` mapping.
+    """
+    dem = normalize_demand(cache, demand)
+    weights = {f: Fraction(1, cache.subpacketization(f)) for f in set(dem.values())}
+    return Fraction(_chain_dp(cache, dem, weights))
 
 
 # ---------------------------------------------------------------------------
@@ -591,13 +655,24 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
     no schedule exists within ``_MAX_MESSAGES`` messages or the search
     visits more than ``_MAX_NODES`` nodes.
 
+    The deepening starts at the :func:`chain_bound` with every piece
+    counted as 1, which is never below the largest needed-piece count.
+    Read with every piece as one symbol, a schedule of ``c`` messages is a
+    linear code of length ``c``, so ``c`` is at least that bound: no
+    shallower depth holds a schedule, and the first schedule found is the
+    one a search from the needed count finds.  When the bound exceeds
+    ``_MAX_MESSAGES`` the search raises at once.
+
     Each user keeps one echelon basis of the messages, keyed by top bit, in
     its own coordinates: its ``n`` needed columns at ``0..n-1``, its other
     uncached columns above.  The rows pivoting above ``n`` span the
     interference part, so the user's deficiency ``rank(span + needed) -
     rank(span)``, a lower bound on the messages it still needs, is ``n``
     less its pivots below ``n``.  Residuals are added in place and deleted
-    when their branch fails.
+    when their branch fails.  A message adds at most one pivot per user, so
+    a branch is cut once some user's deficiency exceeds the candidates left
+    whose projection reaches it; per user the reaching candidates are
+    listed once per call.
     """
     dem = normalize_demand(cache, demand)
     table = _PieceTable(cache)
@@ -620,6 +695,10 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
     sizes = [len(columns) for columns in needed.values()]
     deficiency = list(sizes)
     pivots: list[dict[int, int]] = [{} for _ in sizes]
+    reach: list[list[int]] = [[] for _ in sizes]  # per user slot: candidates reaching it
+    for i, entries in enumerate(proj):
+        for u, _ in entries:
+            reach[u].append(i)
     budget, nodes = _MAX_NODES, 0
 
     def search(start: int, slots: int):
@@ -629,7 +708,12 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
             return []
         if worst > slots:
             return None
-        for i in range(start, len(candidates)):
+        # a message adds at most one pivot per user, so user u still needs
+        # deficiency[u] picks among the candidates reaching it: the next
+        # pick comes no later than the deficiency[u]-th last of them, which
+        # exists, since each needed column is a one-summand candidate
+        stop = 1 + min(reach[u][-lack] for u, lack in enumerate(deficiency) if lack)
+        for i in range(start, stop):
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(f"search exceeded {budget} nodes")
@@ -655,7 +739,9 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
                 deficiency[u] += top < sizes[u]
         return None
 
-    for depth in range(max(sizes), _MAX_MESSAGES + 1):
+    # no GF(2) schedule sends fewer messages than the piece-count bound
+    start = _chain_dp(cache, dem, dict.fromkeys(dem.values(), 1))
+    for depth in range(start, _MAX_MESSAGES + 1):
         picked = search(0, depth)
         if picked is not None:
             return make_schedule(cache, (table.message(candidates[i]) for i in picked))
@@ -791,7 +877,11 @@ def schedule_from_json(data: Mapping) -> DeliverySchedule:
             )
             for m in data["messages"]
         )
-        rate = Fraction(data["rate"])
+        rate = data["rate"]
+        if isinstance(rate, (bool, float)):
+            # a bool would read as 0 or 1 and a float as its binary fraction
+            raise TypeError(f"rate {rate!r} is neither a string nor an integer")
+        rate = Fraction(rate)
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed schedule: {exc}") from exc
     return DeliverySchedule(messages, rate)

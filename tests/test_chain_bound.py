@@ -1,0 +1,94 @@
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from codedcache import (
+    ValidationError,
+    chain_bound,
+    classic_rate,
+    exhaustive_schedule,
+    make_config,
+    place,
+    toy_cache,
+)
+from codedcache.rates import _demand_multisets, _multiset_expectation
+
+
+def brute_chain_bound(cache, demand):
+    """The bound by its definition: the best sum over every order of users
+    with distinct files."""
+    best = Fraction(0)
+    users = sorted(demand)
+    for m in range(1, len(users) + 1):
+        for order in itertools.permutations(users, m):
+            if len({demand[u] for u in order}) < m:
+                continue
+            seen, total = 0, Fraction(0)
+            for u in order:
+                seen |= 1 << (u - 1)
+                row = cache.masks[demand[u] - 1]
+                total += Fraction(sum(1 for mask in row if not mask & seen), len(row))
+            best = max(best, total)
+    return best
+
+
+def random_case(rng):
+    users = rng.randint(1, 5)
+    levels = rng.randint(1, 3)
+    sizes = [rng.randint(1, 2) for _ in range(levels)]
+    strategy = rng.choice(["beta", "alpha"])
+    r = [rng.randint(0, users) for _ in range(levels)]
+    if strategy == "beta":
+        r.sort(reverse=True)
+    cache = place(make_config(users, sizes, r, strategy=strategy))
+    chosen = [k for k in range(1, users + 1) if rng.random() < 0.8]
+    return cache, {k: rng.randint(1, sum(sizes)) for k in chosen}
+
+
+def test_chain_bound_is_the_best_user_order():
+    rng = random.Random(13)
+    for _ in range(300):
+        cache, demand = random_case(rng)
+        assert chain_bound(cache, demand) == brute_chain_bound(cache, demand)
+
+
+def test_chain_bound_of_one_alpha_group_is_the_classic_rate():
+    # sum_{i=1}^{d} C(K - i, t) / C(K, t) = classic_rate(K, t, d): hockey stick
+    for users in range(1, 7):
+        for size in range(1, 4):
+            for t in range(users + 1):
+                cache = place(make_config(users, [size], [t], strategy="alpha"))
+                for rep in _demand_multisets(size, users):
+                    expect = classic_rate(users, t, len(set(rep)))
+                    assert chain_bound(cache, rep) == expect, (users, size, t, rep)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 2), (1, 1, 1), (2, 2)])
+def test_chain_bound_is_the_exhaustive_rate_at_three_users(sizes):
+    # the rates --m-sweep beta cases: every r vector, every demand multiset
+    files = sum(sizes)
+    for r in itertools.combinations_with_replacement(range(3, -1, -1), len(sizes)):
+        cache = place(make_config(3, sizes, list(r)))
+        for rep in _demand_multisets(files, 3):
+            assert chain_bound(cache, rep) == exhaustive_schedule(cache, rep).rate, (r, rep)
+
+
+def test_chain_bound_expectation_at_four_users():
+    cache = place(make_config(4, [1, 1], [3, 1]))
+    popularity = (Fraction(3, 4), Fraction(1, 4))
+    multisets = _demand_multisets(2, 4)
+    expectation = _multiset_expectation(popularity, multisets, lambda rep: chain_bound(cache, rep))
+    assert expectation == Fraction(303, 512)
+
+
+def test_chain_bound_edge_demands():
+    cache = toy_cache()
+    assert chain_bound(cache, {}) == 0
+    assert chain_bound(cache, {2: 2}) == Fraction(2, 3)  # B's pieces user 2 lacks
+    fully_cached = place(make_config(3, [1], [3]))
+    assert chain_bound(fully_cached, (1, 1, 1)) == 0
+    for demand in [(1, 2), (1, 2, 3), {4: 1}, (True, 1, 1)]:
+        with pytest.raises(ValidationError):
+            chain_bound(cache, demand)

@@ -490,20 +490,24 @@ def test_exhaustive_never_worse_than_greedy():
 
 
 def test_exhaustive_node_budget_is_exact(monkeypatch):
-    # the least budget that finds a schedule, measured on the two-basis search
+    # the least budget that finds a schedule; the two-basis search, which
+    # starts at the largest needed count and has no reach cut, needs 4843
     cache = place(make_config(3, [1, 1, 1], [2, 1, 1]))
-    monkeypatch.setattr(delivery, "_MAX_NODES", 4843)
+    monkeypatch.setattr(delivery, "_MAX_NODES", 1211)
     assert exhaustive_schedule(cache, (1, 2, 3)).rate == 1
-    monkeypatch.setattr(delivery, "_MAX_NODES", 4842)
-    with pytest.raises(BudgetExceededError, match="4842 nodes"):
+    monkeypatch.setattr(delivery, "_MAX_NODES", 1210)
+    with pytest.raises(BudgetExceededError, match="1210 nodes"):
         exhaustive_schedule(cache, (1, 2, 3))
 
 
-def two_basis_exhaustive(cache, demand):
+def two_basis_exhaustive(cache, demand, budget=None):
     """The exhaustive search as it was before its in-place rewrite: per
     user a basis of the message span and one of the span joined with the
     needed units, both copied on every accepted branch, with the deficiency
-    read off their ranks.  Kept as the reference for the search tree."""
+    read off their ranks.  Its iterative deepening starts at the largest
+    needed count, and it prunes by deficiency against depth alone.  Kept as
+    the reference for the search tree; returns None when no schedule fits
+    in ``_MAX_MESSAGES`` messages and raises past `budget` nodes."""
     table = _PieceTable(cache)
     needed = {k: c for k, c in table.needed(normalize_demand(cache, demand)).items() if c}
     if not needed:
@@ -516,13 +520,19 @@ def two_basis_exhaustive(cache, demand):
     vectors = [sum(1 << column for column in columns) for columns in candidates]
     proj = [{k: vec & ~cache_masks[k] for k in needed} for vec in vectors]
 
+    nodes = 0
+
     def search(start, state, slots):
+        nonlocal nodes
         worst = max(deficiency for _, _, deficiency in state.values())
         if worst == 0:
             return []
         if worst > slots:
             return None
         for i in range(start, len(candidates)):
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(f"search exceeded {budget} nodes")
             new_state = None
             for k, (span, joined, _) in state.items():
                 vec = proj[i][k]
@@ -565,6 +575,40 @@ def test_exhaustive_matches_the_two_basis_search():
                 exhaustive_schedule(cache, demand)
         else:
             assert exhaustive_schedule(cache, demand) == expected
+
+
+def test_exhaustive_finds_the_two_basis_schedule_at_four_users(monkeypatch):
+    # the depths below the chain bound and the branches the reach cut drops
+    # hold no schedule, so the first schedule found is the same one
+    monkeypatch.setattr(delivery, "_MAX_NODES", 20_000)
+    rng = random.Random(4)
+    found = 0
+    for _ in range(300):
+        levels = rng.randint(1, 3)
+        sizes = [rng.randint(1, 2) for _ in range(levels)]
+        r = [rng.randint(0, 4) for _ in range(levels)]
+        strategy = rng.choice(["beta", "alpha"])
+        if strategy == "beta":
+            r.sort(reverse=True)
+        cache = place(make_config(4, sizes, r, strategy=strategy))
+        demand = tuple(rng.randint(1, sum(sizes)) for _ in range(4))
+        try:
+            expected = two_basis_exhaustive(cache, demand, budget=20_000)
+        except BudgetExceededError:
+            expected = "budget"
+        if expected is None:
+            with pytest.raises(BudgetExceededError, match="no schedule"):
+                exhaustive_schedule(cache, demand)
+        elif expected == "budget":
+            try:
+                schedule = exhaustive_schedule(cache, demand)
+            except BudgetExceededError:
+                continue
+            assert decodable(cache, schedule, demand).ok
+        else:
+            assert exhaustive_schedule(cache, demand) == expected
+            found += 1
+    assert found > 200
 
 
 def test_exhaustive_deterministic():
@@ -640,9 +684,10 @@ def test_schedule_json_rejects_a_file_that_is_no_integer(file):
 def test_schedule_json_rejects_garbage():
     with pytest.raises(ValidationError):
         schedule_from_json({"rate": "1/3"})
-    for rate in ("abc", "1/0"):
-        with pytest.raises(ValidationError, match="malformed"):
+    for rate in ("abc", "1/0", True, False, 0.1, 1.0):
+        with pytest.raises(ValidationError, match="malformed schedule"):
             schedule_from_json({"messages": [], "rate": rate})
+    assert schedule_from_json({"messages": [], "rate": 0}).rate == 0
 
 
 def _schedule_dict(schedule, users, demand=None) -> dict:
