@@ -43,6 +43,7 @@ from __future__ import annotations
 import itertools
 import json
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
@@ -90,21 +91,27 @@ class DeliverySchedule:
             raise ValidationError("schedule rate cannot be negative")
 
 
-def _message_size(cache: CacheState, message: DeliveryMessage) -> Fraction:
-    """Size of one message in file units; all summands must be equal-size."""
+def _message_size(cache: CacheState, message: DeliveryMessage) -> int:
+    """Piece count of the file(s) one message XORs: the message is one
+    piece of that count in size.  All summands must be equal-size."""
     sizes = {cache.subpacketization(f) for f, _ in message.summands}
     if len(sizes) != 1:
         raise ValidationError(
             "message mixes pieces of different sizes; XOR across unequal "
             f"sub-packetizations {sorted(sizes)} is not defined"
         )
-    return Fraction(1, sizes.pop())
+    return sizes.pop()
+
+
+def _rate_of_sizes(sizes) -> Fraction:
+    """Total rate, in file units, of messages with these piece counts:
+    one ``Fraction`` per distinct count, not one per message."""
+    return sum((Fraction(n, size) for size, n in Counter(sizes).items()), Fraction(0))
 
 
 def make_schedule(cache: CacheState, messages) -> DeliverySchedule:
     msgs = tuple(messages)
-    rate = sum((_message_size(cache, m) for m in msgs), Fraction(0))
-    return DeliverySchedule(msgs, rate)
+    return DeliverySchedule(msgs, _rate_of_sizes(_message_size(cache, m) for m in msgs))
 
 
 def permute_schedule(schedule: DeliverySchedule, perm: Sequence[int]) -> DeliverySchedule:
@@ -211,6 +218,15 @@ class _PieceTable:
     def message(self, columns: Sequence[int]) -> DeliveryMessage:
         """The message XORing these distinct, ascending columns."""
         return DeliveryMessage(tuple(self.pair(column) for column in columns))
+
+    def rate(self, bodies: Sequence[Sequence[int]]) -> Fraction:
+        """Total rate of messages given as column tuples, each of one
+        piece size, summed per size."""
+        return _rate_of_sizes(self.counts[body[0]] for body in bodies)
+
+    def schedule(self, bodies: Sequence[Sequence[int]], rate: Fraction) -> DeliverySchedule:
+        """The schedule of these column tuples, whose :meth:`rate` is `rate`."""
+        return DeliverySchedule(tuple(self.message(body) for body in bodies), rate)
 
 
 @dataclass(frozen=True)
@@ -542,17 +558,24 @@ def greedy_schedule(cache: CacheState, demand) -> DeliverySchedule:
        (true for both placement strategies), send the standard
        leader-based XOR rounds at rate ``(K - t) / K``; otherwise send
        the pieces missing from any requester uncoded.
+
+    Both passes yield column tuples; their rates are summed per piece size
+    from the table, and messages are built for the cheaper pass only.
     """
     dem = normalize_demand(cache, demand)
     table = _PieceTable(cache)
     clique = _clique_pass(table, table.needed(dem))
     regular = _regular_pass(table, dem)
-    return clique if clique.rate <= regular.rate else regular
+    clique_rate, regular_rate = table.rate(clique), table.rate(regular)
+    if clique_rate <= regular_rate:
+        return table.schedule(clique, clique_rate)
+    return table.schedule(regular, regular_rate)
 
 
-def _clique_pass(table: _PieceTable, needed: Mapping[int, list[int]]) -> DeliverySchedule:
+def _clique_pass(table: _PieceTable, needed: Mapping[int, list[int]]) -> list[tuple[int, ...]]:
     """Greedy cover of the `needed` columns by clique messages, largest
-    group first.
+    group first; the messages come out as ascending column tuples, all
+    of one piece size each.
 
     The uncovered pieces sit in a :class:`_CliqueIndex` built once per
     call.  A member's cheapest summand for a group is the least head among
@@ -564,7 +587,7 @@ def _clique_pass(table: _PieceTable, needed: Mapping[int, list[int]]) -> Deliver
     message costs one head comparison per slot.
     """
     index = _CliqueIndex(table, needed)
-    messages: list[DeliveryMessage] = []
+    messages: list[tuple[int, ...]] = []
     size = len(index.buckets)
     while index.buckets:
         # Covering pieces only takes slots away, so the largest group size
@@ -577,13 +600,13 @@ def _clique_pass(table: _PieceTable, needed: Mapping[int, list[int]]) -> Deliver
             for members in slots.values()
         )
         index.send(best)
-        messages.append(table.message(best))
-    return make_schedule(table.cache, messages)
+        messages.append(tuple(best))
+    return messages
 
 
-def _regular_pass(table: _PieceTable, dem: Mapping[int, int]) -> DeliverySchedule:
+def _regular_pass(table: _PieceTable, dem: Mapping[int, int]) -> list[tuple[int, ...]]:
     holders, users = table.holders, table.cache.users
-    messages: list[DeliveryMessage] = []
+    messages: list[tuple[int, ...]] = []
     for file in sorted(set(dem.values())):
         requesters = sorted(k for k, f in dem.items() if f == file)
         columns = table.columns(file)
@@ -607,12 +630,11 @@ def _regular_pass(table: _PieceTable, dem: Mapping[int, int]) -> DeliverySchedul
                 bits = [1 << (k - 1) for k in team]
                 for j in range(slice_count):
                     # one column from each class: distinct, so none cancel
-                    body = sorted(classes[sum(bits) - bit][j] for bit in bits)
-                    messages.append(table.message(body))
+                    messages.append(tuple(sorted(classes[sum(bits) - bit][j] for bit in bits)))
         else:
             wanted = sum(1 << (k - 1) for k in requesters)
-            messages.extend(table.message([c]) for c in columns if wanted & ~holders[c])
-    return make_schedule(table.cache, messages)
+            messages.extend((c,) for c in columns if wanted & ~holders[c])
+    return messages
 
 
 # ---------------------------------------------------------------------------
@@ -744,13 +766,18 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
     for depth in range(start, _MAX_MESSAGES + 1):
         picked = search(0, depth)
         if picked is not None:
-            return make_schedule(cache, (table.message(candidates[i]) for i in picked))
+            bodies = [candidates[i] for i in picked]
+            return table.schedule(bodies, table.rate(bodies))
     raise BudgetExceededError(
         f"no schedule within {_MAX_MESSAGES} messages for demand {dict(dem)}"
     )
 
 
-# Named scheduler interface: callables (cache, demand) -> schedule.
+# Named scheduler interface: callables (cache, demand) -> schedule.  The
+# expectations in ``rates`` rate each distinct sub-problem once, so they
+# rely on a scheduler's rate depending only on the holder masks of the
+# requested files, in file order, and on which users share a file; every
+# scheduler here meets that.
 Scheduler = Callable[[CacheState, object], DeliverySchedule]
 
 SCHEDULERS: dict[str, Scheduler] = {

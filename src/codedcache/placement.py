@@ -184,8 +184,9 @@ class CacheState:
     ``masks[i][rank]`` is the holder mask of that file's piece at ``rank``
     in :func:`enumerate_indices` order: bit ``k - 1`` is set iff user ``k``
     caches the piece.  Construction checks that every space is a valid
-    r-vector, that each file has one mask per piece, and that no mask names
-    a user beyond ``users``; lookups then trust the state.
+    r-vector, that there is at least one user and one file, that each file
+    has one mask per piece, and that no mask names a user beyond
+    ``users``; lookups then trust the state.
     """
 
     users: int
@@ -193,7 +194,10 @@ class CacheState:
     masks: tuple[tuple[int, ...], ...] = field(repr=False)
 
     def __post_init__(self) -> None:
+        _require_int("user count", self.users, 1)
         spaces = tuple(check_r_vector(self.users, space) for space in self.spaces)
+        if not spaces:
+            raise ValidationError("a cache state needs at least one file")
         masks = tuple(tuple(row) for row in self.masks)
         if len(masks) != len(spaces):
             raise ValidationError(f"{len(masks)} mask rows for {len(spaces)} files")

@@ -86,6 +86,30 @@ def _multiset_expectation(popularity: Sequence[Number], multisets, rate: Callabl
     return total
 
 
+def _scheduled_expectation(cfg: PlacementConfig, scheduler: Scheduler, memo: dict):
+    """:func:`expected_rate_exact`, with the rates of its sub-problems
+    looked up in, and added to, `memo`.
+
+    A representative's key is, in user order, each user's requested file
+    as its holder-mask row and its position among the distinct requested
+    files in ascending order.  Files with equal rows have equal piece
+    counts, and a scheduler that meets the :data:`Scheduler` contract reads
+    only the requested files' columns, in file order, so equal keys have
+    equal rates, across placements of one user count too.
+    """
+    multisets = _demand_multisets(cfg.num_files, cfg.users)
+    cache = place(cfg)
+
+    def rate(rep: tuple[int, ...]) -> Fraction:
+        position = {f: j for j, f in enumerate(sorted(set(rep)))}
+        key = tuple((cache.masks[f - 1], position[f]) for f in rep)
+        if key not in memo:
+            memo[key] = scheduler(cache, rep).rate
+        return memo[key]
+
+    return _multiset_expectation(cfg.popularity, multisets, rate)
+
+
 def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
     """Exact expected rate of `scheduler` on the placement of `cfg`.
 
@@ -97,14 +121,15 @@ def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
     scheduler's rate on ``beta`` placements never changes: every piece has
     one size, so the rate is a minimum message count.  The greedy
     scheduler's can: at K = 5, r = (3, 2) the demand (1, 2, 1, 2, 2) costs
-    9/10 and (2, 1, 2, 2, 1) costs 14/15.  Exact rational popularity gives
-    an exact rational result.  Raises :class:`LimitExceededError`, before
-    anything is placed, when the ``C(N+K-1, K)`` multisets exceed
-    ``ENUMERATION_LIMIT``.
+    9/10 and (2, 1, 2, 2, 1) costs 14/15.  Representatives whose requested
+    files have equal holder-mask rows, with the same users sharing a file,
+    are scheduled once; that relies on the :data:`Scheduler` contract, that
+    a rate depends only on those rows and on which users share a file.
+    Exact rational popularity gives an exact rational result.  Raises
+    :class:`LimitExceededError`, before anything is placed, when the
+    ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``.
     """
-    multisets = _demand_multisets(cfg.num_files, cfg.users)
-    cache = place(cfg)
-    return _multiset_expectation(cfg.popularity, multisets, lambda rep: scheduler(cache, rep).rate)
+    return _scheduled_expectation(cfg, scheduler, {})
 
 
 @dataclass(frozen=True)
@@ -485,11 +510,19 @@ def beta_points(
     scheduler: Scheduler = exhaustive_schedule,
 ) -> tuple[RatePoint, ...]:
     """Achievable points of the cross-group strategy for one grouping:
-    every valid non-increasing replication vector, rated by `scheduler`."""
+    every valid non-increasing replication vector, rated by `scheduler`.
+
+    Each point is :func:`expected_rate_exact` of its placement, but the
+    rates of the sub-problems are shared across the sweep: two vectors that
+    agree on the groups a demand requests, r = (2, 2) and (2, 0) on a
+    demand of group-1 files say, schedule it once.  This relies on the
+    :data:`Scheduler` contract, that a rate depends only on the requested
+    files' holder masks and on which users share a file."""
     out = []
+    memo: dict = {}
     for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes)):
         cfg = make_config(users, sizes, list(r), popularity, strategy="beta")
-        rate = expected_rate_exact(cfg, scheduler)
+        rate = _scheduled_expectation(cfg, scheduler, memo)
         out.append(RatePoint(cfg.memory, rate, label=f"beta r={r}", params=r))
     return tuple(out)
 

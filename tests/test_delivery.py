@@ -664,6 +664,50 @@ def test_mixed_piece_sizes_rejected():
         make_schedule(cache, [DeliveryMessage.build([(0, i2)])])
 
 
+def test_schedule_rate_is_the_sum_of_its_message_sizes(monkeypatch):
+    # make_schedule sums one Fraction per piece size; it must equal one per message
+    monkeypatch.setattr(delivery, "_MAX_NODES", 20_000)
+    rng = random.Random(14)
+    checked = 0
+    for _ in range(120):
+        users = rng.randint(1, 5)
+        levels = rng.randint(1, 3)
+        sizes = [rng.randint(1, 2) for _ in range(levels)]
+        r = [rng.randint(0, users) for _ in range(levels)]
+        strategy = rng.choice(["beta", "alpha"])
+        if strategy == "beta":
+            r.sort(reverse=True)
+        cache = place(make_config(users, sizes, r, strategy=strategy))
+        demand = tuple(rng.randint(1, sum(sizes)) for _ in range(users))
+        for scheduler in (greedy_schedule, exhaustive_schedule):
+            try:
+                schedule = scheduler(cache, demand)
+            except BudgetExceededError:
+                continue
+            per_message = sum(
+                (Fraction(1, cache.subpacketization(m.summands[0][0])) for m in schedule.messages),
+                Fraction(0),
+            )
+            assert make_schedule(cache, schedule.messages).rate == per_message == schedule.rate
+            checked += 1
+    assert checked > 200
+
+
+def test_mixed_sizes_and_wrong_rates_still_raise():
+    cache = place_alpha(make_config(4, [1, 1], [3, 2], strategy="alpha"))
+    i1 = enumerate_indices(4, (3,))[0]
+    i2 = enumerate_indices(4, (2,))[0]
+    mixed = DeliverySchedule((DeliveryMessage.build([(1, i1), (2, i2)]),), Fraction(1, 4))
+    loaded = schedule_from_json(schedule_to_json(mixed, 4))
+    with pytest.raises(ValidationError, match=r"mixes pieces of different sizes.*\[4, 6\]"):
+        decodable(cache, loaded, (1, 2, 1, 2))
+    schedule = greedy_schedule(cache, (1, 2, 1, 2))
+    wrong = DeliverySchedule(schedule.messages, schedule.rate + Fraction(1, 12))
+    claim = f"claims rate {wrong.rate}, but its messages sum to {schedule.rate}"
+    with pytest.raises(ValidationError, match=claim):
+        decodable(cache, wrong, (1, 2, 1, 2))
+
+
 def test_schedule_json_round_trip():
     schedule = toy_schedule((1, 2, 2))
     data = schedule_to_json(schedule, 3, demand=(1, 2, 2))

@@ -255,6 +255,13 @@ def _one_user_cache(d, users, r):
     d["files"][0]["r"] = r
 
 
+def _no_files(d):
+    # K = 3 with its user records, but no file records and nothing cached
+    d["files"] = []
+    for u in d["users"]:
+        u["entries"] = []
+
+
 @pytest.mark.parametrize(
     "damage",
     [
@@ -275,6 +282,8 @@ def _one_user_cache(d, users, r):
         lambda d: d["files"][0].update(subpacketization=99),
         lambda d: d["files"][0].update(file=7),
         lambda d: d["users"][0]["entries"].append(dict(d["users"][0]["entries"][0])),
+        lambda d: (d.clear(), d.update(K=0, files=[], users=[])),
+        _no_files,
     ],
     ids=[
         "chain-no-piece-of-file",
@@ -293,6 +302,8 @@ def _one_user_cache(d, users, r):
         "subpacketization-99",
         "file-record-7",
         "piece-twice",
+        "no-users-no-files",
+        "no-files",
     ],
 )
 def test_cache_json_rejects_bad_input(damage):
@@ -340,6 +351,10 @@ def test_cache_state_validates_masks():
         CacheState(good.users, ((1, 2), (2, 1)), good.masks)  # increasing chain
     with pytest.raises(ValidationError):
         CacheState(good.users, good.spaces, good.masks[:1])  # a row per file
+    with pytest.raises(ValidationError):
+        CacheState(0, (), ())  # no users and no files
+    with pytest.raises(ValidationError):
+        CacheState(good.users, (), ())  # no files
 
 
 def test_split_by_popularity():

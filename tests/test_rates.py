@@ -15,6 +15,7 @@ from codedcache import (
     ABOVE,
     BOUNDARY,
     VERTEX,
+    BudgetExceededError,
     DeliverySchedule,
     LimitExceededError,
     RateCurve,
@@ -42,7 +43,7 @@ from codedcache import (
     toy_schedule,
     write_curves_csv,
 )
-from codedcache import rates
+from codedcache import delivery, rates
 from codedcache.rates import _compositions
 
 EXHAUSTIVE = lambda cache, demand: exhaustive_schedule(cache, demand)
@@ -485,6 +486,102 @@ def test_beta_points_cover_the_table_and_one_extra():
     extra = by_params[(2, 0)]
     assert extra.m == Fraction(2, 3)
     assert extra.rate == Fraction(4, 3) - p**3 - Fraction(1, 3) * (1 - p) ** 3
+
+
+def _popularity(files):
+    """A strictly decreasing popularity, so every demand multiset is rated."""
+    weights = range(files + 1, 1, -1)
+    return [Fraction(w, sum(weights)) for w in weights]
+
+
+def _plain_expectation(cfg, scheduler):
+    """expected_rate_exact with nothing reused: every demand multiset is
+    handed to `scheduler`."""
+    cache = place_beta(cfg)
+    multisets = rates._demand_multisets(cfg.num_files, cfg.users)
+    return rates._multiset_expectation(
+        cfg.popularity, multisets, lambda rep: scheduler(cache, rep).rate
+    )
+
+
+def _unmemoized_points(users, sizes, popularity, scheduler):
+    """beta_points as a plain loop over :func:`_plain_expectation`."""
+    out = []
+    for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes)):
+        cfg = make_config(users, sizes, list(r), popularity, strategy="beta")
+        rate = _plain_expectation(cfg, scheduler)
+        out.append(RatePoint(cfg.memory, rate, label=f"beta r={r}", params=r))
+    return tuple(out)
+
+
+def _outcome(call):
+    """What `call` returns, or the message of the budget error it raises."""
+    try:
+        return call()
+    except BudgetExceededError as exc:
+        return f"raised: {exc}"
+
+
+GROUPINGS = [comp for files in (1, 2, 3) for comp in _compositions(files)]
+
+
+@pytest.mark.parametrize("users", [1, 2, 3, 4])
+def test_beta_points_reuse_changes_no_greedy_rate(users):
+    for sizes in GROUPINGS:
+        popularity = _popularity(sum(sizes))
+        expected = _unmemoized_points(users, sizes, popularity, greedy_schedule)
+        assert beta_points(users, sizes, popularity, greedy_schedule) == expected
+
+
+def test_beta_points_reuse_changes_no_exhaustive_rate_at_three_users():
+    for sizes in GROUPINGS:
+        popularity = _popularity(sum(sizes))
+        expected = _unmemoized_points(3, sizes, popularity, exhaustive_schedule)
+        assert beta_points(3, sizes, popularity) == expected
+
+
+def test_beta_points_reuse_changes_no_exhaustive_outcome_at_four_users(monkeypatch):
+    # most groupings hit the node budget on some demand: there the sweep
+    # must stop with the same error, and every replication vector on its
+    # own, rated with one memo shared along the sweep, must too
+    monkeypatch.setattr(delivery, "_MAX_NODES", 20_000)
+    returned = 0
+    for sizes in GROUPINGS:
+        popularity = _popularity(sum(sizes))
+        expected = _outcome(lambda: _unmemoized_points(4, sizes, popularity, EXHAUSTIVE))
+        assert _outcome(lambda: beta_points(4, sizes, popularity)) == expected
+        returned += not isinstance(expected, str)
+        memo = {}
+        for r in itertools.combinations_with_replacement(range(4, -1, -1), len(sizes)):
+            cfg = make_config(4, sizes, list(r), popularity, strategy="beta")
+            plain = _outcome(lambda: _plain_expectation(cfg, EXHAUSTIVE))
+            shared = _outcome(lambda: rates._scheduled_expectation(cfg, EXHAUSTIVE, memo))
+            assert shared == plain
+    assert returned >= 3  # the one-group sweeps return
+
+
+def test_expected_rate_exact_reuse_changes_no_toy_rate():
+    for p in P_GRID_21:
+        cfg = toy_config(p)
+        assert expected_rate_exact(cfg, TOY) == _plain_expectation(cfg, TOY)
+
+
+@pytest.mark.parametrize(
+    "sizes, calls",
+    [((1, 1), 28), ((1, 2), 42), ((1, 1, 1), 68), ((2, 2), 52)],
+    ids=str,
+)
+def test_beta_points_schedules_each_sub_problem_once(sizes, calls):
+    # the four groupings of the certify sweep: 40, 100, 200 and 200 calls
+    # if every (replication vector, demand multiset) were scheduled
+    seen = []
+
+    def counting(cache, demand):
+        seen.append((cache, demand))
+        return exhaustive_schedule(cache, demand)
+
+    beta_points(3, sizes, _popularity(sum(sizes)), counting)
+    assert len(seen) == calls
 
 
 def test_strategy_envelopes_at_unit_cache_match_closed_forms():
