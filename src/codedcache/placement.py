@@ -40,25 +40,24 @@ _POPULARITY_TOL = 1e-12
 Number = Fraction | float
 
 
-def _parse_fraction(text: str, name: str) -> Fraction:
-    """The exact value of a string such as "153/200" or "0.75"."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"{name} {text!r} is not a number") from exc
+def _parse_number(value, name: str) -> Number:
+    """A number given as a string such as "153/200" or "0.75" (read
+    exactly), an int or Fraction (as a Fraction), or a finite float (kept);
+    anything else, booleans included, raises :class:`ValidationError`."""
+    if isinstance(value, str):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValidationError(f"{name} {value!r} is not a number") from exc
+    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
+        return Fraction(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    raise ValidationError(f"{name} {value!r} is not a number")
 
 
 def _normalize_popularity(values: Sequence[Number | int | str]) -> tuple[Number, ...]:
-    out: list[Number] = []
-    for v in values:
-        if isinstance(v, str):
-            out.append(_parse_fraction(v, "popularity entry"))
-        elif isinstance(v, (int, Fraction)) and not isinstance(v, bool):
-            out.append(Fraction(v))
-        elif isinstance(v, float) and math.isfinite(v):
-            out.append(v)
-        else:
-            raise ValidationError(f"popularity entry {v!r} is not a number")
+    out = [_parse_number(v, "popularity entry") for v in values]
     if any(p < 0 for p in out):
         raise ValidationError("popularity entries must be non-negative")
     if all(isinstance(p, Fraction) for p in out):
@@ -166,12 +165,7 @@ def make_config(
 
 def toy_config(p: Number | str = Fraction(1, 2)) -> PlacementConfig:
     """The 3-user / 2-file reference setup: two singleton groups, r = (2, 1)."""
-    if isinstance(p, bool) or not isinstance(p, (int, str, Fraction, float)):
-        raise ValidationError(f"probability {p!r} is not a number")
-    if isinstance(p, str):
-        p = _parse_fraction(p, "probability")
-    elif isinstance(p, (int, Fraction)):
-        p = Fraction(p)
+    p = _parse_number(p, "probability")
     q = 1 - p
     return make_config(3, [1, 1], [2, 1], [p, q])
 

@@ -1,15 +1,16 @@
 """Expected delivery rates, closed-form curves, and the memory-rate region.
 
 Expectations are taken over i.i.d. user requests: ``R = sum_d P(d) R(d)``
-with ``P(d)`` the product of per-file request probabilities.  Rating a
-scheduler enumerates the ``C(N+K-1, K)`` demand multisets, at most
-``ENUMERATION_LIMIT`` of them, and schedules each at its sorted
-representative.  The grouping baseline serves every group alone, so by
-linearity of expectation its rate is a sum over groups and cache levels.
-Its closed kernel takes each term over the law of the number of distinct
-files of the group that are requested; with a scheduler, each term
-enumerates only the multisets of the group's own files, plus one entry
-that stands for every file outside the group.
+with ``P(d)`` the product of per-file request probabilities.  One path
+rates a scheduler: it enumerates the ``C(N+K-1, K)`` demand multisets, at
+most ``ENUMERATION_LIMIT`` of them, and schedules each distinct
+sub-problem once, at a sorted representative.  Monte Carlo draws demands
+and rates them through the same memo.  The grouping baseline serves every
+group alone, so by linearity of expectation its rate is a sum over groups
+and cache levels.  Its closed kernel takes each term over the law of the
+number of distinct files of the group that are requested; with a
+scheduler, each term is the expectation of the group's own placement plus
+one fully cached file that stands for every file outside the group.
 When the popularity is given as exact rationals every expectation here is
 an exact ``Fraction``; floats appear only for float popularities and
 plotting grids.  No numerical solver is used: the K = 3 comparison's
@@ -21,6 +22,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,18 +30,15 @@ from functools import lru_cache
 from math import comb
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .combinatorics import _require_int
 from .delivery import Scheduler, exhaustive_schedule
 from .errors import LimitExceededError, ValidationError
 from .placement import (
     PlacementConfig,
     _normalize_popularity,
-    _parse_fraction,
+    _parse_number,
     make_config,
     place,
-    place_alpha,
 )
 
 Number = Fraction | float
@@ -86,9 +85,9 @@ def _multiset_expectation(popularity: Sequence[Number], multisets, rate: Callabl
     return total
 
 
-def _scheduled_expectation(cfg: PlacementConfig, scheduler: Scheduler, memo: dict):
-    """:func:`expected_rate_exact`, with the rates of its sub-problems
-    looked up in, and added to, `memo`.
+def _memo_rate(cache, scheduler: Scheduler, memo: dict) -> Callable:
+    """The rate of `scheduler` on a sorted representative of `cache`'s
+    demands, looked up in, and added to, `memo`.
 
     A representative's key is, in user order, each user's requested file
     as its holder-mask row and its position among the distinct requested
@@ -97,8 +96,6 @@ def _scheduled_expectation(cfg: PlacementConfig, scheduler: Scheduler, memo: dic
     only the requested files' columns, in file order, so equal keys have
     equal rates, across placements of one user count too.
     """
-    multisets = _demand_multisets(cfg.num_files, cfg.users)
-    cache = place(cfg)
 
     def rate(rep: tuple[int, ...]) -> Fraction:
         position = {f: j for j, f in enumerate(sorted(set(rep)))}
@@ -107,6 +104,14 @@ def _scheduled_expectation(cfg: PlacementConfig, scheduler: Scheduler, memo: dic
             memo[key] = scheduler(cache, rep).rate
         return memo[key]
 
+    return rate
+
+
+def _scheduled_expectation(cfg: PlacementConfig, scheduler: Scheduler, memo: dict):
+    """:func:`expected_rate_exact`, with the rates of its sub-problems
+    looked up in, and added to, `memo` (see :func:`_memo_rate`)."""
+    multisets = _demand_multisets(cfg.num_files, cfg.users)
+    rate = _memo_rate(place(cfg), scheduler, memo)
     return _multiset_expectation(cfg.popularity, multisets, rate)
 
 
@@ -146,28 +151,24 @@ def expected_rate_mc(
 ) -> MCEstimate:
     """Unbiased Monte Carlo estimate of the expected rate.
 
-    Deterministic for a fixed seed.  Distinct demand multisets are rated
-    once, at their sorted representative, and reused across samples; so,
-    as for :func:`expected_rate_exact`, this estimates the expected rate
-    of scheduling each sorted demand, which differs from the scheduler's
-    own when its rate depends on user labels.
+    Deterministic for a fixed seed: ``random.Random(seed)`` draws every
+    user's request.  Each draw is sorted and rated through the memoised
+    rate that :func:`_scheduled_expectation` uses, so every distinct
+    sub-problem is scheduled once; as for :func:`expected_rate_exact`, this estimates
+    the expected rate of scheduling each sorted demand, which differs from
+    the scheduler's own when its rate depends on user labels.
     """
     _require_int("samples", samples, 1)
     _require_int("seed", seed, 0)
-    n, k = cfg.num_files, cfg.users
-    probs = np.array([float(p) for p in cfg.popularity])
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    draws = rng.choice(n, size=(samples, k), p=probs) + 1
-    keys = np.sort(draws, axis=1)
-    uniq, counts = np.unique(keys, axis=0, return_counts=True)
-    cache = place(cfg)
-    rates = np.array(
-        [float(scheduler(cache, tuple(int(x) for x in row)).rate) for row in uniq]
-    )
-    mean = float((counts * rates).sum() / samples)
+    k = cfg.users
+    weights = [float(p) for p in cfg.popularity]
+    draws = random.Random(seed).choices(range(1, cfg.num_files + 1), weights, k=samples * k)
+    counts = Counter(tuple(sorted(draws[i : i + k])) for i in range(0, len(draws), k))
+    rate = _memo_rate(place(cfg), scheduler, {})
+    rates = {rep: float(rate(rep)) for rep in counts}
+    mean = sum(c * rates[rep] for rep, c in counts.items()) / samples
     if samples > 1:
-        var = float((counts * (rates - mean) ** 2).sum() / (samples - 1))
+        var = sum(c * (rates[rep] - mean) ** 2 for rep, c in counts.items()) / (samples - 1)
         stderr = math.sqrt(var / samples)
     else:
         stderr = 0.0
@@ -180,12 +181,7 @@ def expected_rate_mc(
 
 
 def _as_p(p) -> Number:
-    if isinstance(p, bool) or not isinstance(p, (int, str, Fraction, float)):
-        raise ValidationError(f"probability {p!r} is not a number")
-    if isinstance(p, str):
-        p = _parse_fraction(p, "probability")
-    elif isinstance(p, int):
-        p = Fraction(p)
+    p = _parse_number(p, "probability")
     if not Fraction(1, 2) <= p <= 1:
         raise ValidationError(
             f"probability of the popular file must be in [1/2, 1], got {p}; "
@@ -364,7 +360,7 @@ def memory_share(users: int, size: int, memory) -> tuple[tuple[Fraction, int], .
     """
     _require_int("user count", users, 1)
     _require_int("group size", size, 1)
-    memory = Fraction(memory)
+    memory = Fraction(_parse_number(memory, "group memory"))
     t = Fraction(users) * memory / size
     if not 0 <= t <= users:
         raise ValidationError(f"group memory {memory} needs cache level {t} outside [0, {users}]")
@@ -440,26 +436,6 @@ def _groups(sizes: Sequence[int], pop: tuple):
         lo = hi
 
 
-def _scheduled_level_rate(
-    users: int, size: int, group_pop: tuple, rest, t: int, scheduler: Scheduler
-):
-    """Expected rate of `scheduler` on one group placed alone at level `t`.
-
-    The demand multisets run over the group's files plus, when `rest` is
-    not 0, one outside entry of popularity `rest`; a user who draws it
-    requests nothing from this group.
-    """
-    entries = group_pop + ((rest,) if rest else ())
-    multisets = _demand_multisets(len(entries), users)
-    cache = place_alpha(make_config(users, [size], [t], strategy="alpha"))
-
-    def rate(rep: tuple[int, ...]) -> Number:
-        local = {k + 1: f for k, f in enumerate(rep) if f <= size}
-        return scheduler(cache, local).rate if local else 0
-
-    return _multiset_expectation(entries, multisets, rate)
-
-
 def alpha_expected_rate(
     users: int,
     sizes: Sequence[int],
@@ -477,10 +453,13 @@ def alpha_expected_rate(
     exact law of D_g, the number of the group's files that are requested
     (:func:`_distinct_law`): no demand is enumerated, ``N**K`` is not
     bounded, and each group's level rates are cached across calls.  With
-    `scheduler` set (e.g. the exhaustive solver), ``R_g(t)`` is its
-    expected rate on the group's own placement, over the demand multisets
-    of the group's files plus one entry for all files outside it.  The
-    limit is checked per group: :class:`LimitExceededError` is raised,
+    `scheduler` set (e.g. the exhaustive solver), ``R_g(t)`` is
+    :func:`expected_rate_exact` of the group's own ``alpha`` config: its
+    files at ``r = t`` and, when the files outside it have popularity
+    ``rest > 0``, one more file of popularity `rest` at ``r = K``.  Every
+    user caches that file, so a user who draws it needs nothing.  One memo
+    of sub-problem rates is shared by every group and level of the call.
+    The limit is checked per group: :class:`LimitExceededError` is raised,
     before that group is placed, when its ``C(N_g + K - 1, K)`` multisets
     exceed ``ENUMERATION_LIMIT`` (N_g is the group size, plus 1 if a file
     outside the group has nonzero popularity).
@@ -494,12 +473,17 @@ def alpha_expected_rate(
         raise ValidationError("group sizes must cover every file exactly once")
     exact = all(isinstance(p, Fraction) for p in pop)
     total = Fraction(0) if exact else 0.0
+    memo: dict = {}
     for (size, group_pop, rest), share in zip(_groups(sizes, pop), shares):
         for w, t in share:
             if scheduler is None:
                 total += w * _level_rates(users, group_pop, rest)[t]
             else:
-                total += w * _scheduled_level_rate(users, size, group_pop, rest, t, scheduler)
+                if rest:
+                    cfg = make_config(users, [size, 1], [t, users], group_pop + (rest,), "alpha")
+                else:
+                    cfg = make_config(users, [size], [t], group_pop, "alpha")
+                total += w * _scheduled_expectation(cfg, scheduler, memo)
     return total
 
 
@@ -599,7 +583,11 @@ class StrategyComparison:
 
 def default_p_grid(points: int = 101) -> tuple[float, ...]:
     _require_int("points", points, 1)
-    return tuple(float(x) for x in np.linspace(0.5, 1.0, points))
+    # an evenly spaced grid's floats: i * step + 0.5, and the end point exact
+    if points == 1:
+        return (0.5,)
+    step = 0.5 / (points - 1)
+    return tuple(0.5 + i * step for i in range(points - 1)) + (1.0,)
 
 
 def compare_strategies(p_grid: Sequence | None = None) -> StrategyComparison:

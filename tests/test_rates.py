@@ -150,6 +150,30 @@ def test_mc_rejects_bad_sample_count():
         expected_rate_mc(toy_config(0.7), TOY, samples=0, seed=1)
 
 
+def _counting(scheduler):
+    """`scheduler`, recording the memo key of every call: each user's
+    requested file as its holder-mask row and its position among the
+    distinct requested files."""
+    keys = []
+
+    def counted(cache, demand):
+        position = {f: j for j, f in enumerate(sorted(set(demand)))}
+        keys.append(tuple((cache.masks[f - 1], position[f]) for f in demand))
+        return scheduler(cache, demand)
+
+    return counted, keys
+
+
+def test_mc_schedules_each_sub_problem_once():
+    # two files of one group share a mask row, so (1, 1, 1) and (2, 2, 2)
+    # are one sub-problem: the four multisets make three keys
+    counted, keys = _counting(exhaustive_schedule)
+    cfg = make_config(3, [2], [1])
+    est = expected_rate_mc(cfg, counted, samples=1000, seed=1)
+    assert len(keys) == len(set(keys)) == 3
+    assert est.value == expected_rate_mc(cfg, EXHAUSTIVE, samples=1000, seed=1).value
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -286,6 +310,14 @@ def test_memory_share_integer_and_fractional():
     assert memory_share(3, 1, Fraction(1, 3)) == ((Fraction(1), 1),)
     with pytest.raises(ValidationError):
         memory_share(3, 1, 2)  # more memory than the group holds
+
+
+@pytest.mark.parametrize(
+    "memory", ["abc", math.nan, "1/0", math.inf, None, True], ids=repr
+)
+def test_memory_share_rejects_what_is_not_a_number(memory):
+    with pytest.raises(ValidationError, match="not a number"):
+        memory_share(3, 1, memory)
 
 
 THIRDS = [Fraction(1, 3)] * 3
@@ -430,7 +462,7 @@ def test_alpha_closed_kernel_has_no_demand_limit(monkeypatch):
     # the scheduler path enumerates them, and it refuses before placing
     p = [Fraction(k, 78) for k in range(1, 13)]
     assert alpha_expected_rate(13, [12], [Fraction(0)], p) == sum(1 - (1 - x) ** 13 for x in p)
-    monkeypatch.setattr(rates, "place_alpha", _unreachable)
+    monkeypatch.setattr(rates, "place", _unreachable)
     with pytest.raises(LimitExceededError, match="expected_rate_mc"):
         alpha_expected_rate(13, [12], [Fraction(0)], p, scheduler=EXHAUSTIVE)
 
@@ -453,6 +485,18 @@ def test_alpha_scheduler_path_rates_each_group_alone():
     p = [Fraction(k, 78) for k in range(1, 13)]
     got = alpha_expected_rate(13, [1] * 12, [Fraction(0)] * 12, p, scheduler=EXHAUSTIVE)
     assert got == sum(1 - (1 - x) ** 13 for x in p)
+
+
+def test_alpha_scheduler_path_shares_one_memo_across_groups():
+    # each group is its file at levels 1 and 2 plus the fully cached
+    # outside file: 4 multisets a level, and (2, 2, 2) is one key at both
+    # levels; the second group repeats the first group's keys
+    counted, keys = _counting(exhaustive_schedule)
+    m = Fraction(1, 2)
+    pop = [Fraction(3, 4), Fraction(1, 4)]
+    got = alpha_expected_rate(3, [1, 1], [m, m], pop, scheduler=counted)
+    assert len(keys) == len(set(keys)) == 7
+    assert got == alpha_expected_rate(3, [1, 1], [m, m], pop)
 
 
 def test_alpha_scheduler_path_counts_the_multisets_rated():
@@ -687,11 +731,20 @@ def test_max_gain_is_below_every_sampled_ratio():
         assert cmp.max_gain_ratio * rate_alpha_closed(p) <= rate_beta_closed(p)
 
 
-def test_import_does_not_load_scipy():
+@pytest.mark.parametrize("points", [1, 2, 3, 101, 1001])
+def test_default_p_grid_is_linspace(points):
+    import numpy
+
+    want = tuple(float(x) for x in numpy.linspace(0.5, 1.0, points))
+    assert default_p_grid(points) == want
+
+
+@pytest.mark.parametrize("module", ["scipy", "numpy"])
+def test_import_does_not_load_scipy(module):
     src = Path(__file__).resolve().parents[1] / "src"
     code = (
         "import sys, codedcache\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"print(sorted(m for m in sys.modules if m == {module!r} or m.startswith('{module}.')))"
     )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
