@@ -170,14 +170,16 @@ def _enumerate(users: int, r: tuple[int, ...]) -> tuple[SubfileIndex, ...]:
             f"subpacketization {count} exceeds enumeration cap {MAX_ENUMERATION}"
         )
 
+    # the pool holds the user bits themselves, so each chain's masks are
+    # the sums of the combos it is built from; the users need no check
     def extend(prefix: tuple[int, ...], pool: tuple[int, ...], depth: int):
         if depth == len(r):
             yield prefix
             return
         for combo in itertools.combinations(pool, r[depth]):
-            yield from extend(prefix + (_mask_from_users(combo, users),), combo, depth + 1)
+            yield from extend(prefix + (sum(combo),), combo, depth + 1)
 
-    chains = extend((), tuple(range(1, users + 1)), 0)
+    chains = extend((), tuple(1 << k for k in range(users)), 0)
     return tuple(SubfileIndex(m) for m in sorted(chains))
 
 
@@ -195,8 +197,11 @@ def _rank_table(users: int, r: tuple[int, ...]) -> dict[tuple[int, ...], int]:
 def _sets_table(users: int, r: tuple[int, ...]) -> dict[tuple[tuple[int, ...], ...], int]:
     """Rank of each chain keyed by its sorted user tuples, the form the
     cache JSON lists it in.  A key of equal ints of another type, such as
-    ``(1.0, 2.0)`` or ``(True, 2)``, also hits, so callers check the types."""
-    return {idx.sets: i for i, idx in enumerate(_enumerate(users, r))}
+    ``(1.0, 2.0)`` or ``(True, 2)``, also hits, so callers check the types.
+    Each distinct user subset is one tuple, shared by every key naming it."""
+    pieces = _enumerate(users, r)
+    subsets = {m: _users_from_mask(m) for m in {m for idx in pieces for m in idx.masks}}
+    return {tuple(map(subsets.__getitem__, idx.masks)): i for i, idx in enumerate(pieces)}
 
 
 def index_rank(idx: SubfileIndex, users: int, r: Sequence[int]) -> int:

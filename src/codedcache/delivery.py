@@ -12,7 +12,10 @@ that cancel the rest of their sum, are returned as a certificate.
 Inside the module a piece is its GF(2) column, one int per (file, rank);
 a table built per call holds each column's holder mask and piece count.
 ``(file, SubfileIndex)`` pairs appear only in what the module hands out:
-messages, certificates, missing pieces and :func:`needed_map`.
+messages, certificates, missing pieces and :func:`needed_map`.  None of
+them is made here: they are :meth:`CacheState.pairs`, made once per
+process and file, and :func:`needed_map` unites the frozensets of them
+that :meth:`CacheState.pairs_by_holders` keeps once per state and file.
 
 Three schedule producers are provided:
 
@@ -52,9 +55,7 @@ from typing import Callable, Mapping, Sequence
 from .combinatorics import SubfileIndex, _rank_table, _require_int, _users_from_mask
 from .errors import BudgetExceededError, UnsupportedConfigError, ValidationError
 from .gf2 import GF2Basis
-from .placement import CacheState, _list_parts, _nl, place_beta, toy_config
-
-Pair = tuple[int, SubfileIndex]
+from .placement import CacheState, Pair, _list_parts, _nl, place_beta, toy_config
 
 
 @dataclass(frozen=True)
@@ -149,13 +150,17 @@ def normalize_demand(cache: CacheState, demand) -> dict[int, int]:
 
 def needed_map(cache: CacheState, demand) -> dict[int, frozenset[Pair]]:
     """Pieces of each user's requested file that are absent from its cache:
-    those whose holder mask lacks the user's bit."""
+    those whose holder mask lacks the user's bit.
+
+    Each set is the union of the state's per-holder-mask sets
+    (:meth:`CacheState.pairs_by_holders`), so its pairs are the ones
+    :meth:`CacheState.pairs` made once, and none is hashed again."""
     dem = normalize_demand(cache, demand)
     out = {}
     for k, f in dem.items():
         bit = 1 << (k - 1)
-        pieces = zip(cache.indices(f), cache.masks[f - 1])
-        out[k] = frozenset((f, idx) for idx, mask in pieces if not mask & bit)
+        groups = cache.pairs_by_holders(f)
+        out[k] = frozenset().union(*(group for mask, group in groups if not mask & bit))
     return out
 
 
@@ -171,13 +176,13 @@ class _PieceTable:
     column ``offsets[f - 1] + rank``; ``holders[c]`` is column ``c``'s
     holder mask and ``counts[c]`` its file's piece count.  Ranks follow the
     pieces' masks and the offsets grow with the file number, so columns
-    sort exactly as ``(file, masks)`` does.  Pairs are made only for the
-    pieces a caller hands out.
+    sort exactly as ``(file, masks)`` does.  The pairs it hands out are
+    those of :meth:`CacheState.pairs`.
     """
 
     def __init__(self, cache: CacheState) -> None:
         self.cache = cache
-        self.indices = [cache.indices(f) for f in range(1, cache.num_files + 1)]
+        self.pairs = [cache.pairs(f) for f in range(1, cache.num_files + 1)]
         self.offsets: list[int] = []
         self.holders: list[int] = []
         self.counts: list[int] = []
@@ -213,7 +218,7 @@ class _PieceTable:
 
     def pair(self, column: int) -> Pair:
         file = bisect_right(self.offsets, column)
-        return (file, self.indices[file - 1][column - self.offsets[file - 1]])
+        return self.pairs[file - 1][column - self.offsets[file - 1]]
 
     def message(self, columns: Sequence[int]) -> DeliveryMessage:
         """The message XORing these distinct, ascending columns."""

@@ -19,8 +19,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
+from itertools import chain, repeat
+from operator import countOf
 from typing import Mapping, Sequence
 
 from .combinatorics import (
@@ -38,6 +42,7 @@ from .errors import ValidationError
 _POPULARITY_TOL = 1e-12
 
 Number = Fraction | float
+Pair = tuple[int, SubfileIndex]
 
 
 def _parse_number(value, name: str) -> Number:
@@ -181,6 +186,10 @@ class CacheState:
     r-vector, that there is at least one user and one file, that each file
     has one mask per piece, and that no mask names a user beyond
     ``users``; lookups then trust the state.
+
+    Pieces are handed out as ``(file, SubfileIndex)`` pairs, made once per
+    process and file by :meth:`pairs`; :meth:`pairs_by_holders` groups them
+    once per state and file.
     """
 
     users: int
@@ -204,6 +213,8 @@ class CacheState:
                 raise ValidationError(f"file {file} has a holder beyond user {self.users}")
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "masks", masks)
+        # pairs_by_holders's memo: not a field, so equality ignores it
+        object.__setattr__(self, "_by_holders", {})
 
     @property
     def num_files(self) -> int:
@@ -227,15 +238,36 @@ class CacheState:
             raise ValidationError(f"user {user} outside [1, {self.users}]")
         return 1 << (user - 1)
 
-    def user_cache(self, user: int) -> frozenset:
+    def pairs(self, file: int) -> tuple[Pair, ...]:
+        """The ``(file, SubfileIndex)`` pairs of a file's pieces in rank
+        order, parallel to its masks."""
+        return _pairs(self.users, self.spaces[self._at(file)], file)
+
+    def pairs_by_holders(self, file: int) -> tuple[tuple[int, frozenset[Pair]], ...]:
+        """A file's pairs grouped by holder mask: one ``(mask, frozenset)``
+        item per distinct mask of the file.
+
+        Built once per state and file, so each pair is hashed once; a union
+        of these sets copies their stored hashes instead of hashing again.
+        """
+        groups = self._by_holders.get(file)
+        if groups is None:
+            lists = defaultdict(list)
+            for pair, mask in zip(self.pairs(file), self.masks[file - 1]):
+                lists[mask].append(pair)
+            groups = tuple((m, frozenset(ps)) for m, ps in lists.items())
+            self._by_holders[file] = groups
+        return groups
+
+    def user_cache(self, user: int) -> frozenset[Pair]:
         """The ``(file, SubfileIndex)`` pairs one user caches, as a set."""
         bit = self._bit(user)
-        return frozenset(
-            (f, idx)
+        return frozenset().union(*(
+            group
             for f in range(1, self.num_files + 1)
-            for idx, mask in zip(self.indices(f), self.masks[f - 1])
+            for mask, group in self.pairs_by_holders(f)
             if mask & bit
-        )
+        ))
 
     def cached_count(self, user: int, file: int) -> int:
         bit = self._bit(user)
@@ -250,6 +282,11 @@ class CacheState:
             (self.cached_fraction(user, f) for f in range(1, self.num_files + 1)),
             Fraction(0),
         )
+
+
+@lru_cache(maxsize=None)
+def _pairs(users: int, space: tuple[int, ...], file: int) -> tuple[Pair, ...]:
+    return tuple(zip(repeat(file), _enumerate(users, space)))
 
 
 def _place(cfg: PlacementConfig, chains: Sequence[tuple[tuple[int, ...], int]]) -> CacheState:
@@ -437,9 +474,12 @@ def cache_from_json(data: Mapping) -> CacheState:
     placement, disagrees with ``K`` or with the file records, or lists a
     piece twice for one user raises :class:`ValidationError`.
 
-    An entry's chains are looked up as sorted user tuples; chains in
-    another order, or with a user id that is not exactly an ``int``, take
-    the slower path that builds their masks and checks every user."""
+    An entry's chains are looked up as sorted user tuples, and the types
+    of the user ids are counted in C: chains in another order, or with a
+    user id that is not exactly an ``int``, take the slower path that
+    builds their masks and checks every user.  The lookup tables are
+    memoised per process for each ``(K, r)``.  No pair is made here;
+    :meth:`CacheState.pairs` makes them when they are asked for."""
     try:
         users = data["K"]
         _require_int("K", users)
@@ -447,6 +487,9 @@ def cache_from_json(data: Mapping) -> CacheState:
         if len(data["users"]) != users:
             raise ValidationError(f"{len(data['users'])} user records for K = {users}")
         tables = [_sets_table(users, space) for space in spaces]
+        # a chain of a file names sum(r) user ids in all
+        widths = [sum(space) for space in spaces]
+        num_files = len(spaces)
         ranks = [_rank_table(users, space) for space in spaces]
         masks = [[0] * len(table) for table in ranks]
         for f, (record, row) in enumerate(zip(data["files"], masks), start=1):
@@ -466,12 +509,13 @@ def cache_from_json(data: Mapping) -> CacheState:
             bit = 1 << (k - 1)
             for e in u["entries"]:
                 f, chains = e["file"], e["chains"]
-                _require_int("file", f)
-                if not 1 <= f <= len(spaces):
-                    raise ValidationError(f"file {f} outside [1, {len(spaces)}]")
+                if type(f) is not int or not 1 <= f <= num_files:
+                    _require_int("file", f)
+                    if not 1 <= f <= num_files:
+                        raise ValidationError(f"file {f} outside [1, {num_files}]")
                 key = tuple(map(tuple, chains))
                 rank = tables[f - 1].get(key)
-                if rank is None or not all(type(v) is int for s in key for v in s):
+                if rank is None or countOf(map(type, chain.from_iterable(key)), int) != widths[f - 1]:
                     idx = SubfileIndex.from_sets(chains, users)
                     rank = ranks[f - 1].get(idx.masks)
                     if rank is None:

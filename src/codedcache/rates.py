@@ -287,7 +287,10 @@ class Envelope:
     labels: tuple[str, ...]
 
     def value(self, m) -> Number:
-        m = Fraction(m) if isinstance(m, (int, str)) else m
+        """The envelope's rate at cache size `m`, read like any other number
+        of the package: a string, int or Fraction exactly, a finite float as
+        it is; anything else raises :class:`ValidationError`."""
+        m = _parse_number(m, "cache size")
         lo, hi = self.vertices[0][0], self.vertices[-1][0]
         if not lo <= m <= hi:
             raise ValidationError(f"cache size {m} outside envelope domain [{lo}, {hi}]")

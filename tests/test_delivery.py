@@ -31,6 +31,7 @@ from codedcache import (
     schedule_from_json,
     schedule_text,
     schedule_to_json,
+    subpacketization,
     toy_cache,
     toy_config,
     toy_schedule,
@@ -208,6 +209,47 @@ def test_non_integer_demand_rejected(use, demand):
     # True == 1 and 1.0 == 1, yet neither names a user or a file
     with pytest.raises(ValidationError, match="integer"):
         use(toy_cache(), demand)
+
+
+@st.composite
+def _mask_states(draw):
+    """A demand and two cache states on the same random spaces, whose
+    holder masks are arbitrary and each other's complements."""
+    users = draw(st.integers(1, 5))
+    spaces = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.lists(st.integers(0, users), min_size=1, max_size=3))
+        spaces.append(tuple(sorted(r, reverse=True)))
+    full = (1 << users) - 1
+    masks = [
+        draw(st.lists(st.integers(0, full), min_size=n, max_size=n))
+        for n in (subpacketization(users, space) for space in spaces)
+    ]
+    flipped = [[full ^ m for m in row] for row in masks]
+    demand = draw(st.lists(st.integers(1, len(spaces)), min_size=users, max_size=users))
+    return tuple(demand), CacheState(users, spaces, masks), CacheState(users, spaces, flipped)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mask_states())
+def test_needed_map_and_user_cache_follow_the_masks_of_each_state(case):
+    demand, *states = case
+    # both states are queried in one process, so a memo keyed on the spaces
+    # alone would hand the second the first one's sets
+    for cache in states * 2:
+        pieces = {f: tuple(zip(cache.indices(f), cache.masks[f - 1])) for f in set(demand)}
+        expected = {
+            k: frozenset((f, idx) for idx, m in pieces[f] if not m & 1 << (k - 1))
+            for k, f in enumerate(demand, start=1)
+        }
+        assert needed_map(cache, demand) == expected
+        for k in range(1, cache.users + 1):
+            assert cache.user_cache(k) == {
+                (f, idx)
+                for f in range(1, cache.num_files + 1)
+                for idx, m in zip(cache.indices(f), cache.masks[f - 1])
+                if m & 1 << (k - 1)
+            }
 
 
 def test_decodable_rejects_a_rate_other_than_the_message_sum():

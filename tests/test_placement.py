@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -277,6 +278,10 @@ def _no_files(d):
         # the first entry is file 1's piece [[1, 2], [1]]; True == 1.0 == 1
         lambda d: d["users"][0]["entries"][0].update(chains=[[True, 2], [True]]),
         lambda d: d["users"][0]["entries"][0].update(chains=[[1.0, 2.0], [1.0]]),
+        # damage at the last level only, and in a chain out of order
+        lambda d: d["users"][0]["entries"][0].update(chains=[[1, 2], [1.0]]),
+        lambda d: d["users"][0]["entries"][0].update(chains=[[1, 2], [True]]),
+        lambda d: d["users"][0]["entries"][0].update(chains=[[2, 1], [1.0]]),
         lambda d: d["users"][0]["entries"][0].update(file=True),
         lambda d: d["users"][0].update(user=True),
         lambda d: d["files"][0].update(subpacketization=99),
@@ -297,6 +302,9 @@ def _no_files(d):
         "r-entry-true",
         "chain-user-true",
         "chain-user-float",
+        "last-level-float",
+        "last-level-true",
+        "unsorted-chain-float",
         "file-true",
         "user-record-true",
         "subpacketization-99",
@@ -333,6 +341,32 @@ def configs(draw):
 @example(make_config(4, [2, 1], [0, 3], strategy="alpha"))
 def test_cache_json_text_is_the_record_laid_out(cfg):
     cache = place(cfg)
+    text = cache_json_text(cache)
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+    assert cache_from_json(json.loads(text)) == cache
+
+
+def test_cache_json_reads_a_chain_out_of_order():
+    data = cache_to_json(place_beta(toy_config()))
+    assert data["users"][0]["entries"][0]["chains"] == [[1, 2], [1]]
+    data["users"][0]["entries"][0]["chains"] = [[2, 1], [1]]
+    assert cache_from_json(data) == place_beta(toy_config())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_cache_json_round_trips_a_state_no_placement_makes(seed):
+    rng = random.Random(seed)
+    users = rng.randint(1, 5)
+    spaces = []
+    for _ in range(rng.randint(1, 3)):
+        levels = rng.randint(1, 3)
+        spaces.append(tuple(sorted((rng.randint(0, users) for _ in range(levels)), reverse=True)))
+    full = (1 << users) - 1
+    masks = [
+        [rng.choice([0, full, rng.randint(0, full)]) for _ in range(subpacketization(users, space))]
+        for space in spaces
+    ]
+    cache = CacheState(users, spaces, masks)
     text = cache_json_text(cache)
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert cache_from_json(json.loads(text)) == cache

@@ -262,6 +262,21 @@ def test_envelope_interpolates():
         env.value(Fraction(5, 2))
 
 
+@pytest.mark.parametrize("m", ["abc", "1/0", None, True], ids=["text", "zero-denominator", "none", "bool"])
+def test_envelope_value_rejects_what_is_no_number(m):
+    env = lower_envelope(memory_rate_table(Fraction(3, 4)))
+    with pytest.raises(ValidationError):
+        env.value(m)
+
+
+def test_envelope_value_reads_strings_fractions_and_floats():
+    env = lower_envelope(memory_rate_table(Fraction(3, 4)))
+    half = env.value(Fraction(1, 2))
+    assert env.value("1/2") == half
+    assert isinstance(env.value("1/2"), Fraction)
+    assert env.value(0.5) == pytest.approx(float(half))
+
+
 def test_envelope_rate_non_increasing_for_achievable_points():
     rng = random.Random(123)
     for _ in range(200):
