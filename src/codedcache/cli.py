@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
+from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -87,6 +88,12 @@ def _parse_demand(text: str) -> tuple[int, ...]:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
+    """The one value given, or the points of a ``start:stop:step`` grid.
+
+    Point ``i`` is ``start + i * step`` in floats, rounded to 12 places.
+    The count, ``floor((stop - start) / step) + 1``, is taken exactly from
+    the decimal text, so rounding never drops or adds the end point.
+    """
     parts = text.split(":")
     if len(parts) not in (1, 3):
         raise ValidationError(f"grid must be start:stop:step, got {text!r}")
@@ -101,16 +108,16 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     start, stop, step = numbers
     if step <= 0 or stop < start:
         raise ValidationError(f"bad grid {text!r}")
-    # floor(steps) + 1 points; steps is inf when the quotient overflows
-    steps = (stop - start) / step
-    if steps >= ENUMERATION_LIMIT:
+    # a value that reads as 0.0 is taken as 0, so that a text such as
+    # 1e-99999999 never makes its power of ten
+    try:
+        first, last, width = (Fraction(p) if x else 0 for p, x in zip(parts, numbers))
+    except ValueError as exc:  # more digits than int() converts
+        raise ValidationError(f"grid {text!r} is too long a number") from exc
+    count = (last - first) // width + 1
+    if count > ENUMERATION_LIMIT:
         raise LimitExceededError(f"grid {text!r} has more than {ENUMERATION_LIMIT} points")
-    values = []
-    x = start
-    while x <= stop + 1e-12:
-        values.append(round(x, 12))
-        x += step
-    return tuple(values)
+    return tuple(round(start + i * step, 12) for i in range(count))
 
 
 def cmd_place(args) -> int:

@@ -20,10 +20,9 @@ stable dense rank used elsewhere for GF(2) column numbering.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import LimitExceededError, ValidationError
 
@@ -71,11 +70,13 @@ def subpacketization(users: int, r: Sequence[int]) -> int:
     return total
 
 
-def _mask_from_users(members: Iterable[int], users: int) -> int:
+def _mask_from_users(members: Iterable[int], users: int | None) -> int:
+    """The bitmask of distinct user ids, each in ``[1, users]``, or only at
+    least 1 when `users` is None."""
     mask = 0
     for k in members:
-        _require_int("user", k)
-        if not 1 <= k <= users:
+        _require_int("user", k, 1)
+        if users is not None and k > users:
             raise ValidationError(f"user {k} outside [1, {users}]")
         bit = 1 << (k - 1)
         if mask & bit:
@@ -95,20 +96,24 @@ def _users_from_mask(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, order=True)
-class SubfileIndex:
+class SubfileIndex(NamedTuple):
     """Canonical chain of nested user subsets identifying one file piece.
 
     Two indices are equal iff all their subsets are setwise equal; ordering
-    is lexicographic on the bitmask tuple.
+    is lexicographic on the bitmask tuple.  The type is a tuple so that
+    hashing, equality and ordering run in C: a set or dict of
+    ``(file, SubfileIndex)`` pairs never calls back into Python.
     """
 
     masks: tuple[int, ...]
 
     @classmethod
     def from_sets(cls, chains: Iterable[Iterable[int]], users: int | None = None) -> "SubfileIndex":
-        limit = users if users is not None else 64
-        return cls(tuple(_mask_from_users(c, limit) for c in chains))
+        """The index of chains given as user subsets.  User ids must be
+        distinct ints of at least 1 per subset, and at most `users` if that
+        is given; whether the chain is a piece of some placement is checked
+        where the placement is known."""
+        return cls(tuple(_mask_from_users(c, users) for c in chains))
 
     @property
     def sets(self) -> tuple[tuple[int, ...], ...]:
@@ -121,6 +126,10 @@ class SubfileIndex:
 
     def holds(self, level: int, user: int) -> bool:
         """True if `user` belongs to the subset at 1-indexed `level`."""
+        _require_int("level", level)
+        _require_int("user", user, 1)
+        if not 1 <= level <= len(self.masks):
+            raise ValidationError(f"level {level} outside [1, {len(self.masks)}]")
         return bool(self.masks[level - 1] >> (user - 1) & 1)
 
     def permuted(self, perm: Sequence[int]) -> "SubfileIndex":
@@ -212,6 +221,7 @@ def index_rank(idx: SubfileIndex, users: int, r: Sequence[int]) -> int:
 
 def index_unrank(rank: int, users: int, r: Sequence[int]) -> SubfileIndex:
     """Inverse of :func:`index_rank`."""
+    _require_int("rank", rank)
     indices = enumerate_indices(users, r)
     if not 0 <= rank < len(indices):
         raise ValidationError(f"rank {rank} outside [0, {len(indices)})")

@@ -10,12 +10,13 @@ those masked messages.  The witnessing messages, plus the cached pieces
 that cancel the rest of their sum, are returned as a certificate.
 
 Inside the module a piece is its GF(2) column, one int per (file, rank);
-a table built per call holds each column's holder mask and piece count.
-``(file, SubfileIndex)`` pairs appear only in what the module hands out:
-messages, certificates, missing pieces and :func:`needed_map`.  None of
-them is made here: they are :meth:`CacheState.pairs`, made once per
-process and file, and :func:`needed_map` unites the frozensets of them
-that :meth:`CacheState.pairs_by_holders` keeps once per state and file.
+a table built per call holds each column's holder mask, piece count and
+pair.  ``(file, SubfileIndex)`` pairs appear only in what the module
+hands out: messages, certificates, missing pieces and :func:`needed_map`.
+None of them is made here: they are :meth:`CacheState.pairs`, made once
+per process, ``(K, r)`` and file, and picked out by the holder masks.
+A pair is a tuple of ints and a tuple, so sets and dicts of pairs hash
+and compare them in C.
 
 Three schedule producers are provided:
 
@@ -45,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -152,15 +152,14 @@ def needed_map(cache: CacheState, demand) -> dict[int, frozenset[Pair]]:
     """Pieces of each user's requested file that are absent from its cache:
     those whose holder mask lacks the user's bit.
 
-    Each set is the union of the state's per-holder-mask sets
-    (:meth:`CacheState.pairs_by_holders`), so its pairs are the ones
-    :meth:`CacheState.pairs` made once, and none is hashed again."""
+    Each set is picked out of :meth:`CacheState.pairs`, which are made once
+    per process, by the file's mask row; no pair is made here."""
     dem = normalize_demand(cache, demand)
     out = {}
     for k, f in dem.items():
         bit = 1 << (k - 1)
-        groups = cache.pairs_by_holders(f)
-        out[k] = frozenset().union(*(group for mask, group in groups if not mask & bit))
+        lacking = [not mask & bit for mask in cache.masks[f - 1]]
+        out[k] = frozenset(itertools.compress(cache.pairs(f), lacking))
     return out
 
 
@@ -174,22 +173,23 @@ class _PieceTable:
 
     File ``f``'s piece at ``rank`` (in :func:`enumerate_indices` order) is
     column ``offsets[f - 1] + rank``; ``holders[c]`` is column ``c``'s
-    holder mask and ``counts[c]`` its file's piece count.  Ranks follow the
-    pieces' masks and the offsets grow with the file number, so columns
-    sort exactly as ``(file, masks)`` does.  The pairs it hands out are
-    those of :meth:`CacheState.pairs`.
+    holder mask, ``counts[c]`` its file's piece count and ``pairs[c]`` its
+    ``(file, SubfileIndex)`` pair, one of :meth:`CacheState.pairs`.  Ranks
+    follow the pieces' masks and the offsets grow with the file number, so
+    columns sort exactly as ``(file, masks)`` does.
     """
 
     def __init__(self, cache: CacheState) -> None:
         self.cache = cache
-        self.pairs = [cache.pairs(f) for f in range(1, cache.num_files + 1)]
         self.offsets: list[int] = []
         self.holders: list[int] = []
         self.counts: list[int] = []
-        for row in cache.masks:
+        self.pairs: list[Pair] = []
+        for f, row in enumerate(cache.masks, start=1):
             self.offsets.append(len(self.holders))
             self.holders += row
             self.counts += [len(row)] * len(row)
+            self.pairs += cache.pairs(f)
 
     def needed(self, dem: Mapping[int, int]) -> dict[int, list[int]]:
         """Per user, in user order, the ascending columns of its requested
@@ -216,13 +216,9 @@ class _PieceTable:
             vec ^= 1 << (self.offsets[f - 1] + rank)
         return vec
 
-    def pair(self, column: int) -> Pair:
-        file = bisect_right(self.offsets, column)
-        return self.pairs[file - 1][column - self.offsets[file - 1]]
-
     def message(self, columns: Sequence[int]) -> DeliveryMessage:
         """The message XORing these distinct, ascending columns."""
-        return DeliveryMessage(tuple(self.pair(column) for column in columns))
+        return DeliveryMessage(tuple(map(self.pairs.__getitem__, columns)))
 
     def rate(self, bodies: Sequence[Sequence[int]]) -> Fraction:
         """Total rate of messages given as column tuples, each of one
@@ -300,14 +296,14 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
         for column in needed:
             combo = basis.solve(1 << column)
             if combo is None:
-                user_missing.append(table.pair(column))
+                user_missing.append(table.pairs[column])
                 continue
             used = _set_bits(combo)
             rest = 1 << column
             for i in used:
                 rest ^= vectors[i]
-            entries = tuple(table.pair(c) for c in _set_bits(rest))
-            user_certs[table.pair(column)] = Certificate(entries, tuple(used))
+            entries = tuple(table.pairs[c] for c in _set_bits(rest))
+            user_certs[table.pairs[column]] = Certificate(entries, tuple(used))
         certificates[k] = user_certs
         if user_missing:
             missing[k] = tuple(user_missing)

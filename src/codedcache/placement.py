@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import json
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import countOf
 from typing import Mapping, Sequence
 
@@ -184,12 +183,14 @@ class CacheState:
     in :func:`enumerate_indices` order: bit ``k - 1`` is set iff user ``k``
     caches the piece.  Construction checks that every space is a valid
     r-vector, that there is at least one user and one file, that each file
-    has one mask per piece, and that no mask names a user beyond
-    ``users``; lookups then trust the state.
+    has one mask per piece, that every mask is an ``int`` (not a bool),
+    and that no mask names a user beyond ``users``; lookups then trust the
+    state.
 
     Pieces are handed out as ``(file, SubfileIndex)`` pairs, made once per
-    process and file by :meth:`pairs`; :meth:`pairs_by_holders` groups them
-    once per state and file.
+    process and ``(K, r, file)`` by :meth:`pairs`; that memo is the only
+    one, and a state holds nothing but its three fields.  A set of pieces
+    is picked out of those pairs by the holder masks.
     """
 
     users: int
@@ -209,12 +210,12 @@ class CacheState:
             count = subpacketization(self.users, space)
             if len(row) != count:
                 raise ValidationError(f"file {file} has {len(row)} masks for {count} pieces")
+            if countOf(map(type, row), int) != count:
+                raise ValidationError(f"file {file} has a holder mask that is not an int")
             if row and (min(row) < 0 or max(row) > full):
                 raise ValidationError(f"file {file} has a holder beyond user {self.users}")
         object.__setattr__(self, "spaces", spaces)
         object.__setattr__(self, "masks", masks)
-        # pairs_by_holders's memo: not a field, so equality ignores it
-        object.__setattr__(self, "_by_holders", {})
 
     @property
     def num_files(self) -> int:
@@ -243,30 +244,12 @@ class CacheState:
         order, parallel to its masks."""
         return _pairs(self.users, self.spaces[self._at(file)], file)
 
-    def pairs_by_holders(self, file: int) -> tuple[tuple[int, frozenset[Pair]], ...]:
-        """A file's pairs grouped by holder mask: one ``(mask, frozenset)``
-        item per distinct mask of the file.
-
-        Built once per state and file, so each pair is hashed once; a union
-        of these sets copies their stored hashes instead of hashing again.
-        """
-        groups = self._by_holders.get(file)
-        if groups is None:
-            lists = defaultdict(list)
-            for pair, mask in zip(self.pairs(file), self.masks[file - 1]):
-                lists[mask].append(pair)
-            groups = tuple((m, frozenset(ps)) for m, ps in lists.items())
-            self._by_holders[file] = groups
-        return groups
-
     def user_cache(self, user: int) -> frozenset[Pair]:
         """The ``(file, SubfileIndex)`` pairs one user caches, as a set."""
         bit = self._bit(user)
-        return frozenset().union(*(
-            group
-            for f in range(1, self.num_files + 1)
-            for mask, group in self.pairs_by_holders(f)
-            if mask & bit
+        return frozenset(chain.from_iterable(
+            compress(self.pairs(f), [mask & bit for mask in row])
+            for f, row in enumerate(self.masks, start=1)
         ))
 
     def cached_count(self, user: int, file: int) -> int:
@@ -478,8 +461,9 @@ def cache_from_json(data: Mapping) -> CacheState:
     of the user ids are counted in C: chains in another order, or with a
     user id that is not exactly an ``int``, take the slower path that
     builds their masks and checks every user.  The lookup tables are
-    memoised per process for each ``(K, r)``.  No pair is made here;
-    :meth:`CacheState.pairs` makes them when they are asked for."""
+    memoised per process for each ``(K, r)``.  No pair is made here, and
+    the state carries no memo: :meth:`CacheState.pairs` makes the pairs,
+    once per process, when they are asked for."""
     try:
         users = data["K"]
         _require_int("K", users)

@@ -346,6 +346,9 @@ def classic_rate(users: int, t: int, distinct: int) -> Fraction:
     """Expected-rate kernel of the classic single-group scheme: delivery
     cost for `distinct` distinct requested files at integer cache level
     `t`, counting only the non-redundant XOR rounds."""
+    _require_int("user count", users, 1)
+    _require_int("cache level", t)
+    _require_int("distinct file count", distinct)
     if not 0 <= t <= users:
         raise ValidationError(f"cache level {t} outside [0, {users}]")
     if not 0 <= distinct <= users:

@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from codedcache import cache_from_json, delivery, place_beta, toy_config
-from codedcache.cli import main
+from codedcache import ValidationError, cache_from_json, delivery, place_beta, toy_config
+from codedcache.cli import _parse_grid, main
 
 TOY = {
     "K": 3,
@@ -318,6 +318,19 @@ def test_rates_p_grid_exit_codes(toy_path, capsys, grid, code, stderr):
     assert stderr in captured.err
     if code == 0:
         assert len(captured.out.splitlines()) == 4  # header and three points
+
+
+def test_parse_grid_keeps_its_end_point_on_fine_grids():
+    grid = _parse_grid("0.5:1:0.000005")
+    assert len(grid) == 100_001
+    assert grid[0] == 0.5 and grid[-1] == 1.0
+    assert _parse_grid("0.5:1:0.25") == (0.5, 0.75, 1.0)
+    assert len(_parse_grid("0.5:1.0:0.1")) == 6
+    # a value that reads as 0.0 makes no power of ten, and a text longer
+    # than int() converts is no number
+    assert _parse_grid("1e-99999999:1:0.5") == (0.0, 0.5, 1.0)
+    with pytest.raises(ValidationError, match="too long"):
+        _parse_grid("0.5:1:0." + "1" * 5000)
 
 
 def test_rates_empty_strategies_exits_2(toy_path, capsys):

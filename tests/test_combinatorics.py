@@ -146,6 +146,42 @@ def test_rank_rejects_foreign_index():
         index_rank(SubfileIndex.from_sets([(1, 2), (3,)]), 3, (2, 1))  # not nested
 
 
+def test_index_unrank_rejects_a_rank_that_is_no_int():
+    with pytest.raises(ValidationError):
+        index_unrank(True, 3, (2, 1))
+    with pytest.raises(ValidationError):
+        index_unrank(1.0, 3, (2, 1))
+
+
+def test_subfile_index_is_a_named_tuple_with_a_stable_repr():
+    idx = SubfileIndex.from_sets([(1, 2), (1,)])
+    assert repr(idx) == "SubfileIndex(masks=(3, 1))"
+    assert idx == SubfileIndex((3, 1)) and idx.sets == ((1, 2), (1,)) and idx.levels == 2
+    assert isinstance(idx, tuple)
+    with pytest.raises(AttributeError):
+        idx.masks = (3, 2)
+
+
+def test_from_sets_takes_any_user_id_of_at_least_one():
+    idx = SubfileIndex.from_sets([(65, 70), (70,)])
+    assert idx.masks == (1 << 64 | 1 << 69, 1 << 69)
+    assert idx.sets == ((65, 70), (70,))
+    for chains in ([(0,)], [(-1, 2)], [(2, 2)], [(True,)], [(1.0,)]):
+        with pytest.raises(ValidationError):
+            SubfileIndex.from_sets(chains)
+    with pytest.raises(ValidationError):
+        SubfileIndex.from_sets([(1, 4)], users=3)
+
+
+def test_holds_checks_its_level_and_user():
+    idx = SubfileIndex.from_sets([(1, 2), (1,)])
+    assert idx.holds(1, 2) and idx.holds(2, 1)
+    assert not idx.holds(2, 2) and not idx.holds(1, 70)
+    for level, user in ((0, 1), (-1, 1), (3, 1), (1, 0), (1, -1), (True, 1), (1, 1.0)):
+        with pytest.raises(ValidationError):
+            idx.holds(level, user)
+
+
 @settings(max_examples=200)
 @given(st.data())
 def test_rank_unrank_round_trip(data):

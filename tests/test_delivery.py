@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -757,6 +758,37 @@ def test_schedule_json_round_trip():
     assert data["demand"] == [1, 2, 2]
     again = schedule_from_json(data)
     assert again == schedule
+
+
+def test_schedule_json_round_trips_beyond_64_users():
+    # the leader scheme at K = 70, r = 1: user 1's piece XOR each other one
+    users = 70
+    cache = place_beta(make_config(users, [1], [1]))
+    own = enumerate_indices(users, (1,))
+    messages = [DeliveryMessage.build([(1, own[0]), (1, idx)]) for idx in own[1:]]
+    schedule = make_schedule(cache, messages)
+    assert len(schedule.messages) == 69 and schedule.rate == Fraction(69, 70)
+    again = schedule_from_json(schedule_to_json(schedule, users))
+    assert again == schedule
+    assert decodable(cache, again, [1] * users).ok
+
+
+def test_pairs_sort_as_file_then_masks():
+    rng = random.Random(7)
+    cache = place_beta(make_config(4, [1, 2], [3, 1]))
+    pairs = [p for f in range(1, cache.num_files + 1) for p in cache.pairs(f)]
+    rng.shuffle(pairs)
+    assert sorted(pairs) == sorted(pairs, key=lambda p: (p[0], p[1].masks))
+
+
+def test_a_cache_state_keeps_no_memo_of_its_pairs():
+    cache = place_beta(make_config(5, [1, 2], [3, 1]))
+    size = len(pickle.dumps(cache))
+    needed_map(cache, (1, 2, 3, 1, 2))
+    for k in range(1, cache.users + 1):
+        cache.user_cache(k)
+    assert set(vars(cache)) == {"users", "spaces", "masks"}
+    assert len(pickle.dumps(cache)) == size
 
 
 @pytest.mark.parametrize("file", [True, 1.0, "1"], ids=repr)

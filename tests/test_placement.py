@@ -391,6 +391,16 @@ def test_cache_state_validates_masks():
         CacheState(good.users, (), ())  # no files
 
 
+@pytest.mark.parametrize("mask", [1.0, "1", True], ids=repr)
+def test_cache_state_rejects_masks_that_are_not_ints(mask):
+    good = place_beta(toy_config())
+    row = (mask,) + good.masks[0][1:]
+    with pytest.raises(ValidationError, match="not an int"):
+        CacheState(good.users, good.spaces, (row, good.masks[1]))
+    with pytest.raises(ValidationError, match="not an int"):
+        CacheState(3, ((2, 1),), ((mask,) * 6,))
+
+
 def test_split_by_popularity():
     groups = split_by_popularity([0.1, 0.5, 0.15, 0.25], [2, 2])
     assert groups == ((2, 4), (3, 1))

@@ -309,6 +309,14 @@ def test_classic_rate_kernel_values():
         classic_rate(3, 1, 4)  # more distinct files than users
 
 
+@pytest.mark.parametrize(
+    "args", [(3, True, 1), (3, "1", 1), (3, 1.0, 1), (3, 1, True), (3.0, 1, 1)], ids=repr
+)
+def test_classic_rate_rejects_arguments_that_are_no_int(args):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        classic_rate(*args)
+
+
 def test_classic_rate_certified_by_search():
     # one group of two files: the kernel matches the exhaustive solver
     for t in (0, 1, 2, 3):
