@@ -451,6 +451,8 @@ def toy_schedule(demand, cache: CacheState | None = None) -> DeliverySchedule:
 
 # Piece size -> per group member, the member's buckets that fit the group.
 Slots = dict[int, list[list[list[int]]]]
+# A group of users, ascending, and its slots.
+Clique = tuple[tuple[int, ...], Slots]
 
 
 class _CliqueIndex:
@@ -473,25 +475,30 @@ class _CliqueIndex:
                 by_bucket.setdefault(self._bucket(column), []).append(column)
             if by_bucket:
                 self.buckets[k] = by_bucket
-        # cliques() per group size; valid until a bucket empties, since
-        # the buckets are live lists whose heads the callers read
-        self._cliques: dict[int, list[Slots]] = {}
+        # cliques() per group size, built once: the buckets are live lists
+        # whose heads the callers read, and send() prunes each bucket that
+        # empties from the groups that hold it
+        self._cliques: dict[int, list[Clique]] = {}
 
     def _bucket(self, column: int) -> tuple[int, int]:
         return (self.table.counts[column], self.table.holders[column])
 
-    def cliques(self, size: int) -> list[Slots]:
-        """The slots of every group of `size` users with a slot for each
-        member, in :func:`itertools.combinations` order of the groups.
+    def cliques(self, size: int) -> list[Clique]:
+        """Every group of `size` users with a slot for each member, with its
+        slots, in :func:`itertools.combinations` order of the groups.
 
         A group's slots map each piece size that every member can fill to
         the members' lists of fitting buckets.  Groups are generated from
         the buckets' masks instead of testing all ``C(K, size)`` of them,
         so the cost is bounded by the number of distinct holder masks, not
-        by S.
+        by S.  Each size is built once; sending only removes pieces, so
+        :meth:`send` keeps the built groups current by pruning.
         """
-        if size in self._cliques:
-            return self._cliques[size]
+        if size not in self._cliques:
+            self._cliques[size] = self._build(size)
+        return self._cliques[size]
+
+    def _build(self, size: int) -> list[Clique]:
         active = sum(1 << (k - 1) for k in self.buckets)
         cover: dict[int, list[tuple[int, int, list[int]]]] = {}
         for k, by_bucket in self.buckets.items():
@@ -512,8 +519,7 @@ class _CliqueIndex:
             common = set.intersection(*(set(sizes) for sizes in by_member.values()))
             if common:
                 found[group] = {s: [by_member[k][s] for k in group] for s in sorted(common)}
-        self._cliques[size] = [found[group] for group in sorted(found)]
-        return self._cliques[size]
+        return [(group, found[group]) for group in sorted(found)]
 
     def send(self, body: Sequence[int]) -> None:
         """Drop what one message delivers: each user that caches all
@@ -532,10 +538,27 @@ class _CliqueIndex:
                 continue
             bucket.remove(column)
             if not bucket:
-                self._cliques.clear()
+                self._prune(k, where[0], bucket)
                 del by_bucket[where]
                 if not by_bucket:
                     del self.buckets[k]
+
+    def _prune(self, k: int, s: int, bucket: list[int]) -> None:
+        """Take user `k`'s emptied `bucket` of piece size `s` out of the
+        built groups: a size goes once a member has no bucket left for
+        it, and a group once it has no size left."""
+        for groups in self._cliques.values():
+            emptied = False
+            for group, slots in groups:
+                if k in group and s in slots:
+                    fits = slots[s][group.index(k)]
+                    if bucket in fits:  # the only empty list there
+                        fits.remove(bucket)
+                        if not fits:
+                            del slots[s]
+                            emptied = emptied or not slots
+            if emptied:
+                groups[:] = [clique for clique in groups if clique[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +575,8 @@ def greedy_schedule(cache: CacheState, demand) -> DeliverySchedule:
        every summand is needed by one participant and cached by all the
        others; ties broken toward the lowest (file, rank) summands.  The
        pass works on a bucket index of the uncovered pieces (see
-       :func:`_clique_pass`), so its cost per message grows with the
+       :func:`_clique_pass`) whose groups are built once per size and
+       pruned as buckets empty, so its cost per message grows with the
        number of distinct holder masks, not with the sub-packetization S;
     2. regular pass - per requested file, if every piece is cached by
        the same number ``t`` of users and the ``t``-subsets cover evenly
@@ -584,8 +608,9 @@ def _clique_pass(table: _PieceTable, needed: Mapping[int, list[int]]) -> list[tu
     heads over all groups of the largest size that has one; sending it
     removes the pieces it delivers from the buckets.  Finding the groups
     costs time in the number of buckets (distinct holder masks per user),
-    not in S, and is redone only when a bucket empties; in between, a
-    message costs one head comparison per slot.
+    not in S, and is done once per group size; a bucket that empties is
+    pruned from the groups that hold it, and a message costs one head
+    comparison per slot.
     """
     index = _CliqueIndex(table, needed)
     messages: list[tuple[int, ...]] = []
@@ -597,7 +622,7 @@ def _clique_pass(table: _PieceTable, needed: Mapping[int, list[int]]) -> list[tu
             size -= 1
         best = min(
             sorted(min(b[0] for b in buckets) for buckets in members)
-            for slots in found
+            for _, slots in found
             for members in slots.values()
         )
         index.send(best)
@@ -654,7 +679,7 @@ def _candidate_messages(index: _CliqueIndex) -> list[tuple[int, ...]]:
     all the other participants."""
     out: set[tuple[int, ...]] = set()
     for size in range(1, min(len(index.buckets), _MAX_SUMMANDS) + 1):
-        for slots in index.cliques(size):
+        for _, slots in index.cliques(size):
             for members in slots.values():
                 restricted = [sorted(itertools.chain.from_iterable(b)) for b in members]
                 total = prod(len(opts) for opts in restricted)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -39,6 +40,9 @@ from .combinatorics import (
 from .errors import ValidationError
 
 _POPULARITY_TOL = 1e-12
+# the digits int() converts, as the bound on a decimal exponent's magnitude
+# (Python 3.10 before 3.10.7 has no such limit and no attribute)
+_MAX_EXPONENT = getattr(sys.int_info, "default_max_str_digits", 4300)
 
 Number = Fraction | float
 Pair = tuple[int, SubfileIndex]
@@ -47,8 +51,17 @@ Pair = tuple[int, SubfileIndex]
 def _parse_number(value, name: str) -> Number:
     """A number given as a string such as "153/200" or "0.75" (read
     exactly), an int or Fraction (as a Fraction), or a finite float (kept);
-    anything else, booleans included, raises :class:`ValidationError`."""
+    anything else, booleans included, raises :class:`ValidationError`,
+    as does a decimal exponent beyond ``_MAX_EXPONENT``, whose power of
+    ten would take seconds to build."""
     if isinstance(value, str):
+        _, e, exponent = value.upper().partition("E")
+        try:
+            too_long = bool(e) and abs(int(exponent)) > _MAX_EXPONENT
+        except ValueError:
+            too_long = False  # an exponent that is no int: Fraction rejects it
+        if too_long:
+            raise ValidationError(f"{name} {value!r} is too long a number")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:

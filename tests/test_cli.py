@@ -2,6 +2,9 @@ import csv
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -469,3 +472,13 @@ def test_reruns_byte_identical_except_manifest_timestamp(toy_path, tmp_path):
 
 def test_version_flag():
     assert main(["--version"]) == 0
+
+
+def test_the_package_runs_as_a_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "codedcache", "--version"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert done.returncode == 0 and done.stdout.startswith("codedcache ")

@@ -431,6 +431,10 @@ GREEDY_GOLDEN = {
     # piece sizes 1/4 and 1/6: the clique pass's equal-size filter runs
     (4, (1, 1), (3, 2), "alpha"): "d68df3efb652c4c0520cc8e546bbdbc761902be10a1212c0262aef644758dea9",
     (4, (2, 1), (2, 1), "alpha"): "8505a3365a35450c09797a25327109d5726cde4574e6a38ec3850a7469507d6e",
+    # the benchmark's configs, where buckets empty and are pruned most;
+    # alpha's piece sizes are 1/20 and 1/15
+    (6, (1, 1), (3, 2), "beta"): "10a0fadf9158981b97bffdacba5993894360508b212b9e2fea2f551cfbc0d5f4",
+    (6, (1, 1), (3, 2), "alpha"): "de14779badb92a67278e63d7d803689344bb39a9493d225f00c6564d182778ba",
 }
 
 
@@ -459,6 +463,48 @@ def relabeled_demands(draw, max_users=5, strategies=("beta", "alpha")):
     demand = draw(st.lists(files, min_size=users, max_size=users))
     perm = draw(st.permutations(range(users)))
     return make_config(users, sizes, r, strategy=strategy), tuple(demand), perm
+
+
+@settings(max_examples=60, deadline=None)
+@given(relabeled_demands(max_users=6))
+@example((make_config(6, [1, 1], [3, 2], strategy="alpha"), (1, 2, 2, 1, 2, 1), None))
+def test_pruned_cliques_match_a_fresh_index_after_every_send(case):
+    # every size is built up front, then greedy's messages are sent; the
+    # pruned groups must be those a new index finds in what is left
+    cfg, demand, _ = case
+    cache = place(cfg)
+    table = _PieceTable(cache)
+    needed = table.needed(normalize_demand(cache, demand))
+    index = _CliqueIndex(table, needed)
+    sizes = range(1, cfg.users + 1)
+    for size in sizes:
+        index.cliques(size)
+    for body in delivery._clique_pass(table, needed):
+        index.send(body)
+        # each user's columns bucket by bucket, so the buckets keep their order
+        left = {k: list(itertools.chain(*b.values())) for k, b in index.buckets.items()}
+        fresh = _CliqueIndex(table, left)
+        for size in sizes:
+            assert index.cliques(size) == fresh.cliques(size)
+    assert not index.buckets
+
+
+def test_greedy_builds_the_groups_of_each_size_once(monkeypatch):
+    # one file at r = 1: every bucket holds one piece, so every clique
+    # message empties two buckets, which are pruned instead of rebuilt
+    users = 30
+    cache = place_beta(make_config(users, [1], [1]))
+    built = []
+    build = _CliqueIndex._build
+
+    def counted(self, size):
+        built.append(size)
+        return build(self, size)
+
+    monkeypatch.setattr(_CliqueIndex, "_build", counted)
+    schedule = greedy_schedule(cache, [1] * users)
+    assert schedule.rate == Fraction(29, 30) and len(schedule.messages) == 29
+    assert built == list(range(users, 1, -1))
 
 
 @pytest.mark.xfail(

@@ -27,6 +27,7 @@ from codedcache import (
     subpacketization,
     toy_config,
 )
+from codedcache.placement import _parse_number
 
 
 def _entries(*items):
@@ -201,6 +202,15 @@ def test_popularity_must_sum_to_one():
         make_config(3, [1, 1], [2, 1], [0.5, 0.4999])
     with pytest.raises(ValidationError):
         make_config(3, [1, 1], [2, 1], [1.5, -0.5])
+
+
+def test_a_number_with_a_huge_exponent_is_rejected_before_it_is_built():
+    # Fraction("1e-9999999") would build 10**9999999, which takes seconds
+    for text in ("1e-9999999", "1E+4301", " 2e-99999999 "):
+        with pytest.raises(ValidationError, match="too long a number"):
+            _parse_number(text, "popularity entry")
+    assert _parse_number("1e-300", "popularity entry") == Fraction(1, 10**300)
+    assert _parse_number("1e4300", "popularity entry") == 10**4300
 
 
 def test_popularity_length_must_match_files():
