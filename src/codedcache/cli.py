@@ -39,7 +39,7 @@ from .placement import cache_json_text, load_config, place
 from .rates import (
     ENUMERATION_LIMIT,
     RateCurve,
-    alpha_points,
+    alpha_envelope,
     beta_points,
     lower_envelope,
     rate_alpha_closed,
@@ -201,9 +201,7 @@ def cmd_rates(args) -> int:
                 beta_points(cfg.users, sizes, cfg.popularity, exhaustive_schedule)
             )
         if "alpha" in strategies:
-            envelopes["alpha"] = lower_envelope(
-                alpha_points(cfg.users, cfg.popularity)
-            )
+            envelopes["alpha"] = alpha_envelope(cfg.users, cfg.popularity)
         grid = sorted({m for env in envelopes.values() for m, _ in env.vertices})
         curves = [
             RateCurve(

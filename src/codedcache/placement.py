@@ -75,11 +75,15 @@ def _parse_number(value, name: str) -> Number:
 
 def _normalize_popularity(values: Sequence[Number | int | str]) -> tuple[Number, ...]:
     out = [_parse_number(v, "popularity entry") for v in values]
-    if any(p < 0 for p in out):
-        raise ValidationError("popularity entries must be non-negative")
+    # checked before the sum, so that no huge entry is converted or printed
+    if any(not 0 <= p <= 1 for p in out):
+        raise ValidationError("popularity entries must be in [0, 1]")
     if all(isinstance(p, Fraction) for p in out):
-        if sum(out) != 1:
-            raise ValidationError(f"popularity must sum to 1, got {sum(out)}")
+        total = sum(out)
+        if total != 1:
+            # a long denominator, as from "1e-4300", has more digits than str() converts
+            got = f", got {total}" if total.denominator.bit_length() <= 64 else ""
+            raise ValidationError(f"popularity must sum to 1{got}")
     else:
         total = math.fsum(float(p) for p in out)
         if abs(total - 1.0) > _POPULARITY_TOL:

@@ -11,15 +11,19 @@ and cache levels.  Its closed kernel takes each term over the law of the
 number of distinct files of the group that are requested; with a
 scheduler, each term is the expectation of the group's own placement plus
 one fully cached file that stands for every file outside the group.
-When the popularity is given as exact rationals every expectation here is
-an exact ``Fraction``; floats appear only for float popularities and
-plotting grids.  No numerical solver is used: the K = 3 comparison's
-crossings are closed-form roots.
+The baseline's memory-rate envelope is built from the groups' own lower
+hulls, since a grouping's points are the Minkowski sum of its groups'
+points; no sweep lists every (M, R) point.  When the popularity is given
+as exact rationals every expectation here is an exact ``Fraction``;
+floats appear only for float popularities and plotting grids.  No
+numerical solver is used: the K = 3 comparison's crossings are
+closed-form roots.
 """
 
 from __future__ import annotations
 
 import csv
+import heapq
 import itertools
 import math
 import random
@@ -44,7 +48,7 @@ from .placement import (
 Number = Fraction | float
 
 ENUMERATION_LIMIT = 10**6
-# most (M, R) points alpha_points lists
+# most (M, R) points alpha_points lists, and alpha_envelope's candidate bound
 _MAX_POINTS = 20_000
 
 
@@ -182,7 +186,9 @@ def expected_rate_mc(
 
 def _as_p(p) -> Number:
     p = _parse_number(p, "probability")
-    if not Fraction(1, 2) <= p <= 1:
+    # doubling is exact for a float, so a float is checked without the two
+    # float-to-Fraction builds of a comparison with Fraction(1, 2)
+    if not (2 * p >= 1 and p <= 1):
         raise ValidationError(
             f"probability of the popular file must be in [1/2, 1], got {p}; "
             "mirror the distribution first if needed"
@@ -320,10 +326,11 @@ def lower_envelope(points: Sequence[RatePoint]) -> Envelope:
             hull.pop()
         hull.append(node)
     env = Envelope(points=pts, vertices=tuple(hull), labels=())
+    levels = {m: env.value(m) for m in best}
     labels = []
     vertex_set = set(hull)
     for pt in pts:
-        level = env.value(pt.m)
+        level = levels[pt.m]
         exact = isinstance(pt.rate, Fraction) and isinstance(level, Fraction)
         on_curve = (pt.rate == level) if exact else bool(
             abs(float(pt.rate) - float(level)) <= _FLOAT_TOL
@@ -525,13 +532,23 @@ def _compositions(total: int):
     yield (total,)
 
 
+def _alpha_point(users: int, comp: tuple, levels: list, ts: tuple, zero) -> RatePoint:
+    """The grouping baseline's point for groups `comp` at levels `ts`,
+    given each group's :func:`_level_rates`."""
+    rate = sum((rates[t] for rates, t in zip(levels, ts)), zero)
+    m = Fraction(sum(t * s for t, s in zip(ts, comp)), users)
+    return RatePoint(m, rate, label=f"alpha groups={comp} t={ts}", params=ts)
+
+
 def alpha_points(users: int, popularity: Sequence) -> tuple[RatePoint, ...]:
     """Achievable points of the grouping baseline: every contiguous
     grouping of the file list with every integer cache level per group.
 
     A point's rate is what :func:`alpha_expected_rate` gives for the
     memories ``t_g * size_g / K``: the sum over groups of each group's
-    expected rate at its level ``t_g``."""
+    expected rate at its level ``t_g``.  The sum over groupings of
+    ``(K + 1)**G`` points grows fast; :func:`alpha_envelope` gives the
+    envelope of these points without listing them."""
     _require_int("user count", users, 1)
     pop = _normalize_popularity(popularity)
     zero = Fraction(0) if all(isinstance(p, Fraction) for p in pop) else 0.0
@@ -542,10 +559,62 @@ def alpha_points(users: int, popularity: Sequence) -> tuple[RatePoint, ...]:
             raise LimitExceededError(f"grouping sweep exceeds {_MAX_POINTS} points")
         levels = [_level_rates(users, gp, rest) for _, gp, rest in _groups(comp, pop)]
         for ts in itertools.product(range(users + 1), repeat=len(comp)):
-            rate = sum((rates[t] for rates, t in zip(levels, ts)), zero)
-            m = Fraction(sum(t * s for t, s in zip(ts, comp)), users)
-            out.append(RatePoint(m, rate, label=f"alpha groups={comp} t={ts}", params=ts))
+            out.append(_alpha_point(users, comp, levels, ts, zero))
     return tuple(out)
+
+
+def _hull_steps(size: int, rates: Sequence) -> list[tuple[Number, int]]:
+    """The edges of one group's lower hull over the points
+    ``(t * size, rates[t])``, ``t = 0..K``, in hull order, each as its slope
+    and the level it ends at.  Collinear levels stay on the hull: a level
+    leaves it only at a strict turn."""
+    hull: list[tuple[int, Number]] = []
+    for t, y in enumerate(rates):
+        node = (t * size, y)
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], node) < 0:
+            hull.pop()
+        hull.append(node)
+    return [((y1 - y0) / (x1 - x0), x1 // size) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+
+
+def alpha_envelope(users: int, popularity: Sequence) -> Envelope:
+    """The lower envelope of :func:`alpha_points`, from at most
+    ``2**(N-1) + K (N+1) 2**(N-2)`` candidate points instead of every point.
+
+    A grouping's rate is a sum of per-group terms, so its points form a
+    Minkowski sum, and the lower hull of a Minkowski sum is the sum of the
+    groups' lower hulls.  For each grouping the walk starts with every
+    group at level 0 and takes the groups' hull edges in slope order, one
+    group's edges in their own order (a global sort of float slopes can
+    reorder one group's edges and skip a vertex); every level vector it
+    visits is a candidate, rated as :func:`alpha_points` rates it.  The
+    vertices equal those of ``lower_envelope(alpha_points(...))``; the
+    returned ``points`` and ``labels`` are the candidates and their labels.
+    Raises :class:`LimitExceededError`, before any grouping is rated, when
+    the candidate bound exceeds the limit of :func:`alpha_points`."""
+    _require_int("user count", users, 1)
+    pop = _normalize_popularity(popularity)
+    n = len(pop)
+    # one start per grouping, plus at most K edges per group over all groupings
+    bound = 2 ** (n - 1) + users * (n + 1) * 2**n // 4
+    if bound > _MAX_POINTS:
+        raise LimitExceededError(
+            f"grouping sweep needs up to {bound} points, more than {_MAX_POINTS}"
+        )
+    zero = Fraction(0) if all(isinstance(p, Fraction) for p in pop) else 0.0
+    out = []
+    for comp in _compositions(n):
+        levels = [_level_rates(users, gp, rest) for _, gp, rest in _groups(comp, pop)]
+        edges = [
+            [(slope, g, t) for slope, t in _hull_steps(size, rates)]
+            for g, (size, rates) in enumerate(zip(comp, levels))
+        ]
+        ts = [0] * len(comp)
+        out.append(_alpha_point(users, comp, levels, tuple(ts), zero))
+        for _, g, t in heapq.merge(*edges, key=lambda edge: edge[0]):
+            ts[g] = t
+            out.append(_alpha_point(users, comp, levels, tuple(ts), zero))
+    return lower_envelope(out)
 
 
 # ---------------------------------------------------------------------------

@@ -70,10 +70,15 @@ def test_place_malformed_json_exits_2(tmp_path, capsys):
         ({"popularity": ["1/0", "1"]}, "'1/0' is not a number"),
         ({"popularity": [float("nan"), 1.0]}, "nan is not a number"),
         ({"popularity": [True, False]}, "True is not a number"),
+        # an entry past the digits str() converts, and one past float's range
+        ({"popularity": ["1e4300", "0"]}, "entries must be in [0, 1]"),
+        ({"popularity": ["1e400", 0.5]}, "entries must be in [0, 1]"),
+        ({"popularity": ["1e-4300", "1"]}, "must sum to 1"),
     ],
     ids=[
         "K-str", "K-float", "K-bool", "size-float", "r-str",
         "pop-word", "pop-div0", "pop-nan", "pop-bool",
+        "pop-huge", "pop-huge-float", "pop-long-sum",
     ],
 )
 def test_place_malformed_config_field_exits_2(tmp_path, capsys, change, says):
@@ -456,6 +461,27 @@ def test_rates_alpha_sweep_beyond_the_demand_limit(tmp_path):
     distinct = sum(1 - (1 - float(p)) ** 13 for p in popularity)
     assert rows[0] == (0.0, pytest.approx(distinct, rel=1e-11))
     assert rows[-1] == (3.0, 0.0)
+
+
+def test_rates_alpha_sweep_beyond_the_point_limit(tmp_path):
+    # 16 groupings of 5 files at 9 levels each list 90,000 points, more
+    # than alpha_points allows; the envelope is built from far fewer
+    popularity = [Fraction(k, 15) for k in (5, 4, 3, 2, 1)]
+    cfg = {
+        "K": 8,
+        "strategy": "alpha",
+        "groups": [{"size": 5, "r": 1}],
+        "popularity": [str(p) for p in popularity],
+    }
+    path, out = tmp_path / "k8.json", tmp_path / "k8.csv"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ["rates", str(path), "--m-sweep", "--strategies", "alpha", "--csv", str(out)]
+    assert main(argv) == 0
+    with open(out) as fh:
+        rows = [(float(r["M"]), float(r["R_alpha"])) for r in csv.DictReader(fh)]
+    distinct = sum(1 - (1 - float(p)) ** 8 for p in popularity)
+    assert rows[0] == (0.0, pytest.approx(distinct, rel=1e-11))
+    assert rows[-1] == (5.0, 0.0)
 
 
 def test_reruns_byte_identical_except_manifest_timestamp(toy_path, tmp_path):

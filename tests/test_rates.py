@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from codedcache import (
@@ -21,6 +21,7 @@ from codedcache import (
     RateCurve,
     RatePoint,
     ValidationError,
+    alpha_envelope,
     alpha_expected_rate,
     alpha_points,
     beta_points,
@@ -203,6 +204,21 @@ def test_closed_forms_reject_out_of_range():
             rate_alpha_closed(bad)
 
 
+@pytest.mark.parametrize("p", [0.5, 1.0, Fraction(1, 2), "1/2"], ids=repr)
+def test_closed_forms_accept_the_range_ends(p):
+    assert rate_alpha_closed(p) == rate_beta_closed(p)
+
+
+@pytest.mark.parametrize(
+    "p", [math.nextafter(0.5, 0), math.nextafter(1.0, 2), "1.0000000000000000001"], ids=repr
+)
+def test_closed_forms_reject_just_outside_the_range(p):
+    with pytest.raises(ValidationError):
+        rate_alpha_closed(p)
+    with pytest.raises(ValidationError):
+        rate_beta_closed(p)
+
+
 def test_memory_rate_table_rows():
     p = Fraction(153, 200)
     q = 1 - p
@@ -290,6 +306,20 @@ def test_envelope_rate_non_increasing_for_achievable_points():
 def test_envelope_requires_points():
     with pytest.raises(ValidationError):
         lower_envelope([])
+
+
+def test_envelope_labels_each_point_at_its_own_level():
+    pts = alpha_points(4, [Fraction(2, 5), Fraction(3, 10), Fraction(1, 5), Fraction(1, 10)])
+    env = lower_envelope(pts)
+    want = []
+    for pt in pts:
+        level = env.value(pt.m)
+        if pt.rate == level and (pt.m, pt.rate) in env.vertices:
+            want.append(VERTEX)
+        else:
+            want.append(BOUNDARY if pt.rate == level else ABOVE)
+    assert env.labels == tuple(want)
+    assert {VERTEX, ABOVE} <= set(want)
 
 
 # ---------------------------------------------------------------------------
@@ -685,6 +715,56 @@ def test_alpha_points_guard():
     # 8 singleton groups at 4 levels each: 4**8 = 65,536 points
     with pytest.raises(LimitExceededError, match="points"):
         alpha_points(3, [Fraction(1, 8)] * 8)
+
+
+@st.composite
+def _popularities(draw):
+    """1-4 files, zero entries included, as exact or as float shares."""
+    weights = draw(
+        st.lists(st.one_of(st.just(0), st.integers(1, 10**6)), min_size=1, max_size=4).filter(any)
+    )
+    total = sum(weights)
+    if draw(st.booleans()):
+        return [Fraction(w, total) for w in weights]
+    return [w / total for w in weights]
+
+
+@settings(max_examples=100, deadline=None)
+@given(users=st.integers(1, 6), popularity=_popularities())
+# the float rounding of one group's slopes reorders them; a sort of all
+# edges by slope skips the vertex (2, 0.0) here
+@example(users=5, popularity=[0.5750983832348417, 0.0, 0.42490161676515836])
+def test_alpha_envelope_equals_the_envelope_of_every_point(users, popularity):
+    got = alpha_envelope(users, popularity)
+    want = lower_envelope(alpha_points(users, popularity))
+    every = {(pt.m, pt.rate) for pt in want.points}
+    assert all((pt.m, pt.rate) in every for pt in got.points)
+    if all(isinstance(p, Fraction) for p in popularity):
+        assert got.vertices == want.vertices
+    else:
+        for m in sorted({m for m, _ in got.vertices + want.vertices}):
+            assert float(got.value(m)) == pytest.approx(float(want.value(m)), abs=1e-12)
+
+
+def test_alpha_envelope_beyond_the_point_limit(monkeypatch):
+    # 7**5 + 4 * 7**4 + 6 * 7**3 + 4 * 7**2 + 7 = 28,672 points at K = 6, N = 5
+    popularity = [Fraction(k, 15) for k in (5, 4, 3, 2, 1)]
+    got = alpha_envelope(6, popularity)
+    monkeypatch.setattr(rates, "_MAX_POINTS", 30_000)
+    want = lower_envelope(alpha_points(6, popularity))
+    assert len(want.points) == 28_672
+    assert got.vertices == want.vertices
+    assert len(got.points) <= 2**4 + 6 * 6 * 2**3
+
+
+def test_alpha_envelope_limit_rates_no_grouping(monkeypatch):
+    # 16 files at K = 3: 2**15 + 3 * 17 * 2**14 candidates at most
+    def rated(*args):
+        raise AssertionError("a grouping was rated")
+
+    monkeypatch.setattr(rates, "_level_rates", rated)
+    with pytest.raises(LimitExceededError, match="points"):
+        alpha_envelope(3, [Fraction(1, 16)] * 16)
 
 
 # ---------------------------------------------------------------------------
