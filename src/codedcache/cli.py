@@ -39,6 +39,7 @@ from .placement import cache_json_text, load_config, place
 from .rates import (
     ENUMERATION_LIMIT,
     RateCurve,
+    _curve_rows,
     alpha_envelope,
     beta_points,
     lower_envelope,
@@ -218,9 +219,8 @@ def cmd_rates(args) -> int:
         _write_manifest(out, "rates", args.config)
         print(f"wrote {out}")
     else:
-        print(",".join([curves[0].xname] + [c.label for c in curves]))
-        for x, *ys in zip(curves[0].xs, *(c.ys for c in curves)):
-            print(",".join([f"{float(x):.12g}"] + [f"{float(y):.12g}" for y in ys]))
+        for row in _curve_rows(curves):
+            print(",".join(row))
     return EXIT_OK
 
 

@@ -44,6 +44,7 @@ one schedule record or a ``{"schedules": [...]}`` list of them;
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import json
 from collections import Counter
@@ -449,10 +450,9 @@ def toy_schedule(demand, cache: CacheState | None = None) -> DeliverySchedule:
 # Clique index shared by the greedy and exhaustive schedulers
 # ---------------------------------------------------------------------------
 
-# Piece size -> per group member, the member's buckets that fit the group.
-Slots = dict[int, list[list[list[int]]]]
-# A group of users, ascending, and its slots.
-Clique = tuple[tuple[int, ...], Slots]
+# A group of users, ascending, one piece size that every member can fill,
+# and per member its buckets of that size that fit the group.
+Clique = tuple[tuple[int, ...], int, list[list[list[int]]]]
 
 
 class _CliqueIndex:
@@ -475,30 +475,21 @@ class _CliqueIndex:
                 by_bucket.setdefault(self._bucket(column), []).append(column)
             if by_bucket:
                 self.buckets[k] = by_bucket
-        # cliques() per group size, built once: the buckets are live lists
-        # whose heads the callers read, and send() prunes each bucket that
-        # empties from the groups that hold it
-        self._cliques: dict[int, list[Clique]] = {}
 
     def _bucket(self, column: int) -> tuple[int, int]:
         return (self.table.counts[column], self.table.holders[column])
 
     def cliques(self, size: int) -> list[Clique]:
-        """Every group of `size` users with a slot for each member, with its
-        slots, in :func:`itertools.combinations` order of the groups.
+        """Every group of `size` users with a slot for each member, once per
+        piece size that every member can fill, ordered by group in
+        :func:`itertools.combinations` order, then by piece size.
 
-        A group's slots map each piece size that every member can fill to
-        the members' lists of fitting buckets.  Groups are generated from
-        the buckets' masks instead of testing all ``C(K, size)`` of them,
-        so the cost is bounded by the number of distinct holder masks, not
-        by S.  Each size is built once; sending only removes pieces, so
-        :meth:`send` keeps the built groups current by pruning.
+        The fitting buckets are the live lists of :attr:`buckets`, so their
+        heads follow :meth:`send`; a bucket that empties stays in the lists
+        as an empty one.  Groups are generated from the buckets' masks
+        instead of testing all ``C(K, size)`` of them, so the cost is
+        bounded by the number of distinct holder masks, not by S.
         """
-        if size not in self._cliques:
-            self._cliques[size] = self._build(size)
-        return self._cliques[size]
-
-    def _build(self, size: int) -> list[Clique]:
         active = sum(1 << (k - 1) for k in self.buckets)
         cover: dict[int, list[tuple[int, int, list[int]]]] = {}
         for k, by_bucket in self.buckets.items():
@@ -507,7 +498,7 @@ class _CliqueIndex:
                 others = [1 << (j - 1) for j in _users_from_mask(mask & active)]
                 for rest in itertools.combinations(others, size - 1):
                     cover.setdefault(bit + sum(rest), []).append((k, s, bucket))
-        found: dict[tuple[int, ...], Slots] = {}
+        found: list[Clique] = []
         for group_mask, fits in cover.items():
             if len(fits) < size:
                 continue
@@ -517,9 +508,8 @@ class _CliqueIndex:
                 by_member[k].setdefault(s, []).append(bucket)
             # summands of one XOR must be equal-size pieces
             common = set.intersection(*(set(sizes) for sizes in by_member.values()))
-            if common:
-                found[group] = {s: [by_member[k][s] for k in group] for s in sorted(common)}
-        return [(group, found[group]) for group in sorted(found)]
+            found += [(group, s, [by_member[k][s] for k in group]) for s in common]
+        return sorted(found, key=lambda clique: clique[:2])
 
     def send(self, body: Sequence[int]) -> None:
         """Drop what one message delivers: each user that caches all
@@ -538,27 +528,9 @@ class _CliqueIndex:
                 continue
             bucket.remove(column)
             if not bucket:
-                self._prune(k, where[0], bucket)
                 del by_bucket[where]
                 if not by_bucket:
                     del self.buckets[k]
-
-    def _prune(self, k: int, s: int, bucket: list[int]) -> None:
-        """Take user `k`'s emptied `bucket` of piece size `s` out of the
-        built groups: a size goes once a member has no bucket left for
-        it, and a group once it has no size left."""
-        for groups in self._cliques.values():
-            emptied = False
-            for group, slots in groups:
-                if k in group and s in slots:
-                    fits = slots[s][group.index(k)]
-                    if bucket in fits:  # the only empty list there
-                        fits.remove(bucket)
-                        if not fits:
-                            del slots[s]
-                            emptied = emptied or not slots
-            if emptied:
-                groups[:] = [clique for clique in groups if clique[1]]
 
 
 # ---------------------------------------------------------------------------
@@ -574,9 +546,9 @@ def greedy_schedule(cache: CacheState, demand) -> DeliverySchedule:
     1. clique pass - repeatedly broadcast the largest XOR group in which
        every summand is needed by one participant and cached by all the
        others; ties broken toward the lowest (file, rank) summands.  The
-       pass works on a bucket index of the uncovered pieces (see
-       :func:`_clique_pass`) whose groups are built once per size and
-       pruned as buckets empty, so its cost per message grows with the
+       pass works on a bucket index of the uncovered pieces and keeps the
+       groups of the current size in a heap keyed by the message each
+       could send (see :func:`_clique_pass`), so its cost grows with the
        number of distinct holder masks, not with the sub-packetization S;
     2. regular pass - per requested file, if every piece is cached by
        the same number ``t`` of users and the ``t``-subsets cover evenly
@@ -597,36 +569,58 @@ def greedy_schedule(cache: CacheState, demand) -> DeliverySchedule:
     return table.schedule(regular, regular_rate)
 
 
+def _heads(fits: list[list[list[int]]]) -> tuple[int, ...] | None:
+    """The message a clique can send: each member's least head over its
+    non-empty fitting buckets, sorted; ``None`` once a member has none."""
+    heads = []
+    for buckets in fits:
+        live = [bucket[0] for bucket in buckets if bucket]
+        if not live:
+            return None
+        heads.append(min(live))
+    return tuple(sorted(heads))
+
+
 def _clique_pass(table: _PieceTable, needed: Mapping[int, list[int]]) -> list[tuple[int, ...]]:
     """Greedy cover of the `needed` columns by clique messages, largest
     group first; the messages come out as ascending column tuples, all
     of one piece size each.
 
     The uncovered pieces sit in a :class:`_CliqueIndex` built once per
-    call.  A member's cheapest summand for a group is the least head among
-    its fitting buckets, and the message is the least sorted tuple of such
-    heads over all groups of the largest size that has one; sending it
-    removes the pieces it delivers from the buckets.  Finding the groups
-    costs time in the number of buckets (distinct holder masks per user),
-    not in S, and is done once per group size; a bucket that empties is
-    pruned from the groups that hold it, and a message costs one head
-    comparison per slot.
+    call.  Each message is the least sorted tuple of member heads (see
+    :func:`_heads`) over all cliques of the largest size that has one;
+    sending it removes the pieces it delivers from the buckets.  A group
+    of ``g`` users needs a bucket whose mask names ``g - 1`` of the
+    others, so the pass starts at one more than the largest mask's
+    popcount, and builds each size once, when the one above has run out.
+
+    The cliques of the current size sit in a heap keyed by the tuple each
+    had when last computed.  Sending only removes columns, so no head ever
+    falls, and a sorted tuple of non-decreasing values never falls either:
+    every key is a lower bound on its clique's current message.  The top
+    is recomputed; if it still equals its key it is the least message of
+    all and is sent, and its entry stays; if the clique has died it is
+    popped, and otherwise it is pushed back with its new key.
     """
     index = _CliqueIndex(table, needed)
     messages: list[tuple[int, ...]] = []
-    size = len(index.buckets)
+    holder_masks = (mask for by_bucket in index.buckets.values() for _, mask in by_bucket)
+    size = max((mask.bit_count() + 1 for mask in holder_masks), default=0)
     while index.buckets:
-        # Covering pieces only takes slots away, so the largest group size
-        # with a clique never grows from one message to the next.
-        while not (found := index.cliques(size)):
-            size -= 1
-        best = min(
-            sorted(min(b[0] for b in buckets) for buckets in members)
-            for _, slots in found
-            for members in slots.values()
-        )
-        index.send(best)
-        messages.append(tuple(best))
+        found = index.cliques(size)
+        heap = [(heads, i) for i, (_, _, fits) in enumerate(found) if (heads := _heads(fits))]
+        heapq.heapify(heap)
+        while heap:
+            key, i = heap[0]
+            heads = _heads(found[i][2])
+            if heads == key:
+                index.send(heads)
+                messages.append(heads)
+            elif heads is None:
+                heapq.heappop(heap)
+            else:
+                heapq.heapreplace(heap, (heads, i))
+        size -= 1
     return messages
 
 
@@ -679,16 +673,13 @@ def _candidate_messages(index: _CliqueIndex) -> list[tuple[int, ...]]:
     all the other participants."""
     out: set[tuple[int, ...]] = set()
     for size in range(1, min(len(index.buckets), _MAX_SUMMANDS) + 1):
-        for _, slots in index.cliques(size):
-            for members in slots.values():
-                restricted = [sorted(itertools.chain.from_iterable(b)) for b in members]
-                total = prod(len(opts) for opts in restricted)
-                if len(out) + total > _CANDIDATE_CAP:
-                    raise BudgetExceededError(
-                        f"candidate message family exceeds {_CANDIDATE_CAP}"
-                    )
-                for combo in itertools.product(*restricted):
-                    out.add(tuple(sorted(combo)))
+        for _, _, fits in index.cliques(size):
+            restricted = [sorted(itertools.chain.from_iterable(b)) for b in fits]
+            total = prod(len(opts) for opts in restricted)
+            if len(out) + total > _CANDIDATE_CAP:
+                raise BudgetExceededError(f"candidate message family exceeds {_CANDIDATE_CAP}")
+            for combo in itertools.product(*restricted):
+                out.add(tuple(sorted(combo)))
     return sorted(out)
 
 

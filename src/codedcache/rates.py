@@ -701,17 +701,22 @@ def compare_strategies(p_grid: Sequence | None = None) -> StrategyComparison:
 # ---------------------------------------------------------------------------
 
 
-def write_curves_csv(path, curves: Sequence[RateCurve]) -> None:
-    """One column per curve over a shared abscissa."""
+def _curve_rows(curves: Sequence[RateCurve]) -> list[list[str]]:
+    """The CSV rows of curves over a shared abscissa: the header, then one
+    row per point with every number as ``.12g``."""
     if not curves:
         raise ValidationError("no curves to write")
     xs = curves[0].xs
     for c in curves:
         if c.xs != xs or c.xname != curves[0].xname:
             raise ValidationError("curves must share the same abscissa")
-    columns = [c.ys for c in curves]
+    rows = [[curves[0].xname] + [c.label for c in curves]]
+    rows += [[f"{float(v):.12g}" for v in point] for point in zip(xs, *(c.ys for c in curves))]
+    return rows
+
+
+def write_curves_csv(path, curves: Sequence[RateCurve]) -> None:
+    """One column per curve over a shared abscissa."""
+    rows = _curve_rows(curves)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([curves[0].xname] + [c.label for c in curves])
-        for x, *ys in zip(xs, *columns):
-            writer.writerow([f"{float(x):.12g}"] + [f"{float(y):.12g}" for y in ys])
+        csv.writer(fh).writerows(rows)

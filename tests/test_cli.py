@@ -357,6 +357,20 @@ def test_rates_p_grid_rejects_non_reference_setup(tmp_path, capsys):
     assert main(["rates", str(path), "--p-grid", "0.5:1.0:0.1"]) == 2
 
 
+@pytest.mark.parametrize("argv", [["--p-grid", "0.5:1:0.125"], ["--m-sweep"]])
+def test_rates_stdout_prints_the_rows_of_the_csv_file(toy_path, tmp_path, capsys, argv):
+    out = tmp_path / "rates.csv"
+    assert main(["rates", str(toy_path), *argv, "--csv", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["rates", str(toy_path), *argv]) == 0
+    printed = capsys.readouterr().out
+    written = out.read_bytes().decode("utf-8")
+    # the file keeps the csv module's CRLF, stdout ends its lines with LF
+    assert written.endswith("\r\n") and "\r" not in printed
+    assert printed.split("\n") == written.split("\r\n")
+    assert len(printed.splitlines()) > 2
+
+
 def test_rates_m_sweep_reproduces_unit_cache_point(toy_path, tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["rates", str(toy_path), "--m-sweep", "--csv", str(out)]) == 0

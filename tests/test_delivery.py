@@ -465,46 +465,64 @@ def relabeled_demands(draw, max_users=5, strategies=("beta", "alpha")):
     return make_config(users, sizes, r, strategy=strategy), tuple(demand), perm
 
 
+def _reference_clique_pass(table, needed):
+    """Greedy's clique rule from scratch: after every message a fresh index
+    of what is left, and the least sorted tuple of member heads at the
+    largest group size that has a clique."""
+    left = {k: list(columns) for k, columns in needed.items()}
+    messages = []
+    while any(left.values()):
+        index = _CliqueIndex(table, left)
+        size = len(index.buckets)
+        while not (found := index.cliques(size)):
+            size -= 1
+        best = min(
+            tuple(sorted(min(bucket[0] for bucket in buckets) for buckets in fits))
+            for _, _, fits in found
+        )
+        messages.append(best)
+        # a user that caches all summands but one decodes that one
+        for k, columns in left.items():
+            lacking = [c for c in best if not table.holders[c] >> (k - 1) & 1]
+            if len(lacking) == 1 and lacking[0] in columns:
+                columns.remove(lacking[0])
+    return messages
+
+
 @settings(max_examples=60, deadline=None)
-@given(relabeled_demands(max_users=6))
-@example((make_config(6, [1, 1], [3, 2], strategy="alpha"), (1, 2, 2, 1, 2, 1), None))
-def test_pruned_cliques_match_a_fresh_index_after_every_send(case):
-    # every size is built up front, then greedy's messages are sent; the
-    # pruned groups must be those a new index finds in what is left
+@given(relabeled_demands(max_users=6), st.none() | st.integers(0, 2**32))
+@example((make_config(6, [1, 1], [3, 2], strategy="alpha"), (1, 2, 2, 1, 2, 1), None), None)
+@example((make_config(5, [1, 1], [3, 2]), (1, 2, 1, 2, 2), None), 3)
+def test_clique_pass_sends_what_a_fresh_index_picks_after_every_message(case, mask_seed):
     cfg, demand, _ = case
     cache = place(cfg)
+    if mask_seed is not None:
+        # holder masks that no placement makes
+        rng = random.Random(mask_seed)
+        full = (1 << cfg.users) - 1
+        masks = tuple(tuple(rng.randint(0, full) for _ in row) for row in cache.masks)
+        cache = CacheState(cfg.users, cache.spaces, masks)
     table = _PieceTable(cache)
     needed = table.needed(normalize_demand(cache, demand))
-    index = _CliqueIndex(table, needed)
-    sizes = range(1, cfg.users + 1)
-    for size in sizes:
-        index.cliques(size)
-    for body in delivery._clique_pass(table, needed):
-        index.send(body)
-        # each user's columns bucket by bucket, so the buckets keep their order
-        left = {k: list(itertools.chain(*b.values())) for k, b in index.buckets.items()}
-        fresh = _CliqueIndex(table, left)
-        for size in sizes:
-            assert index.cliques(size) == fresh.cliques(size)
-    assert not index.buckets
+    assert delivery._clique_pass(table, needed) == _reference_clique_pass(table, needed)
 
 
 def test_greedy_builds_the_groups_of_each_size_once(monkeypatch):
-    # one file at r = 1: every bucket holds one piece, so every clique
-    # message empties two buckets, which are pruned instead of rebuilt
+    # one file at r = 1: every holder mask names one user, so no group is
+    # larger than two, and every clique message empties two buckets
     users = 30
     cache = place_beta(make_config(users, [1], [1]))
     built = []
-    build = _CliqueIndex._build
+    cliques = _CliqueIndex.cliques
 
     def counted(self, size):
         built.append(size)
-        return build(self, size)
+        return cliques(self, size)
 
-    monkeypatch.setattr(_CliqueIndex, "_build", counted)
+    monkeypatch.setattr(_CliqueIndex, "cliques", counted)
     schedule = greedy_schedule(cache, [1] * users)
     assert schedule.rate == Fraction(29, 30) and len(schedule.messages) == 29
-    assert built == list(range(users, 1, -1))
+    assert built == [2]
 
 
 @pytest.mark.xfail(
@@ -817,6 +835,16 @@ def test_schedule_json_round_trips_beyond_64_users():
     again = schedule_from_json(schedule_to_json(schedule, users))
     assert again == schedule
     assert decodable(cache, again, [1] * users).ok
+
+
+def test_greedy_runs_beyond_64_users():
+    users = 70
+    cache = place_beta(make_config(users, [1], [1]))
+    demand = [1] * users
+    schedule = greedy_schedule(cache, demand)
+    assert len(schedule.messages) == 69 and schedule.rate == Fraction(69, 70)
+    assert decodable(cache, schedule, demand).ok
+    assert schedule_from_json(schedule_to_json(schedule, users)) == schedule
 
 
 def test_pairs_sort_as_file_then_masks():
