@@ -12,6 +12,7 @@ import pytest
 
 from codedcache import ValidationError, cache_from_json, delivery, place_beta, toy_config
 from codedcache.cli import _parse_grid, main
+from codedcache.rates import rate_alpha_closed, rate_beta_closed
 
 TOY = {
     "K": 3,
@@ -343,6 +344,21 @@ def test_parse_grid_keeps_its_end_point_on_fine_grids():
 
 def test_rates_empty_strategies_exits_2(toy_path, capsys):
     assert main(["rates", str(toy_path), "--p-grid", "1.0", "--strategies", ""]) == 2
+
+
+@pytest.mark.parametrize("strategies", ["beta", "alpha", "beta,alpha"])
+def test_rates_p_grid_columns_follow_the_strategies_asked(toy_path, capsys, strategies):
+    closed = {"alpha": rate_alpha_closed, "beta": rate_beta_closed}
+    names = strategies.split(",")
+    argv = ["rates", str(toy_path), "--p-grid", "0.5:1:0.125", "--strategies", strategies]
+    assert main(argv) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == ",".join(["p"] + [f"R_{name}" for name in names])
+    assert len(rows) == 5
+    for i, row in enumerate(rows):
+        p = 0.5 + i * 0.125
+        expected = [f"{p:.12g}"] + [f"{float(closed[name](p)):.12g}" for name in names]
+        assert row.split(",") == expected
 
 
 def test_rates_p_grid_rejects_non_reference_setup(tmp_path, capsys):
