@@ -42,9 +42,8 @@ from .rates import (
     _curve_rows,
     alpha_envelope,
     beta_points,
+    compare_strategies,
     lower_envelope,
-    rate_alpha_closed,
-    rate_beta_closed,
     write_curves_csv,
 )
 
@@ -179,7 +178,7 @@ def _reference_setup(cfg) -> bool:
 def cmd_rates(args) -> int:
     cfg = load_config(args.config)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    if not strategies or any(s not in ("alpha", "beta") for s in strategies):
+    if sorted(strategies) not in (["alpha"], ["beta"], ["alpha", "beta"]):
         raise ValidationError("--strategies needs a subset of: alpha,beta")
 
     if args.p_grid:
@@ -188,12 +187,8 @@ def cmd_rates(args) -> int:
                 "--p-grid curves are the cache-size-1 closed forms of the "
                 "3-user/2-file reference setup; use --m-sweep for other configs"
             )
-        grid = _parse_grid(args.p_grid)
-        closed = {"alpha": rate_alpha_closed, "beta": rate_beta_closed}
-        curves = []
-        for name in strategies:
-            ys = [closed[name](p) for p in grid]
-            curves.append(RateCurve(f"R_{name}", "p", tuple(zip(grid, ys))))
+        comparison = compare_strategies(_parse_grid(args.p_grid))
+        curves = [getattr(comparison, name) for name in strategies]
     else:
         envelopes = {}
         if "beta" in strategies:

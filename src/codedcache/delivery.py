@@ -50,7 +50,9 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import comb, prod
+from operator import xor
 from typing import Callable, Mapping, Sequence
 
 from .combinatorics import SubfileIndex, _rank_table, _require_int, _users_from_mask
@@ -93,27 +95,12 @@ class DeliverySchedule:
             raise ValidationError("schedule rate cannot be negative")
 
 
-def _message_size(cache: CacheState, message: DeliveryMessage) -> int:
-    """Piece count of the file(s) one message XORs: the message is one
-    piece of that count in size.  All summands must be equal-size."""
-    sizes = {cache.subpacketization(f) for f, _ in message.summands}
-    if len(sizes) != 1:
-        raise ValidationError(
-            "message mixes pieces of different sizes; XOR across unequal "
-            f"sub-packetizations {sorted(sizes)} is not defined"
-        )
-    return sizes.pop()
-
-
-def _rate_of_sizes(sizes) -> Fraction:
-    """Total rate, in file units, of messages with these piece counts:
-    one ``Fraction`` per distinct count, not one per message."""
-    return sum((Fraction(n, size) for size, n in Counter(sizes).items()), Fraction(0))
-
-
 def make_schedule(cache: CacheState, messages) -> DeliverySchedule:
-    msgs = tuple(messages)
-    return DeliverySchedule(msgs, _rate_of_sizes(_message_size(cache, m) for m in msgs))
+    """The schedule of these messages at the rate their piece sizes sum to;
+    raises :class:`ValidationError` for a message that is not one of
+    equal-size pieces of the placement (see :meth:`_PieceTable.body`)."""
+    table = _PieceTable(cache)
+    return table.schedule([table.body(m) for m in messages])
 
 
 def permute_schedule(schedule: DeliverySchedule, perm: Sequence[int]) -> DeliverySchedule:
@@ -206,29 +193,40 @@ class _PieceTable:
         start = self.offsets[file - 1]
         return range(start, start + len(self.cache.masks[file - 1]))
 
-    def vector(self, message: DeliveryMessage) -> int:
-        """The message's columns as a bit vector; raises for a summand
-        outside the placement."""
-        vec = 0
+    def body(self, message: DeliveryMessage) -> list[int]:
+        """The message's columns, in summand order; raises for a summand
+        that is no piece of the placement or of a file out of range, and
+        for summands of unequal piece counts, whose XOR is not defined."""
+        cache = self.cache
+        columns = []
         for f, idx in message.summands:
-            rank = _rank_table(self.cache.users, self.cache.spaces[f - 1]).get(idx.masks)
+            at = cache._at(f)
+            rank = _rank_table(cache.users, cache.spaces[at]).get(idx.masks)
             if rank is None:
                 raise ValidationError(f"unknown piece {idx} for file {f}")
-            vec ^= 1 << (self.offsets[f - 1] + rank)
-        return vec
+            columns.append(self.offsets[at] + rank)
+        sizes = {self.counts[c] for c in columns}
+        if len(sizes) != 1:
+            raise ValidationError(
+                "message mixes pieces of different sizes; XOR across unequal "
+                f"sub-packetizations {sorted(sizes)} is not defined"
+            )
+        return columns
 
     def message(self, columns: Sequence[int]) -> DeliveryMessage:
         """The message XORing these distinct, ascending columns."""
         return DeliveryMessage(tuple(map(self.pairs.__getitem__, columns)))
 
     def rate(self, bodies: Sequence[Sequence[int]]) -> Fraction:
-        """Total rate of messages given as column tuples, each of one
-        piece size, summed per size."""
-        return _rate_of_sizes(self.counts[body[0]] for body in bodies)
+        """Total rate, in file units, of messages given as column tuples,
+        each of one piece size: one ``Fraction`` per piece size, not one
+        per message.  Every schedule's rate is summed here."""
+        sizes = Counter(self.counts[body[0]] for body in bodies)
+        return sum((Fraction(n, size) for size, n in sizes.items()), Fraction(0))
 
-    def schedule(self, bodies: Sequence[Sequence[int]], rate: Fraction) -> DeliverySchedule:
-        """The schedule of these column tuples, whose :meth:`rate` is `rate`."""
-        return DeliverySchedule(tuple(self.message(body) for body in bodies), rate)
+    def schedule(self, bodies: Sequence[Sequence[int]]) -> DeliverySchedule:
+        """The schedule of these column tuples at their :meth:`rate`."""
+        return DeliverySchedule(tuple(map(self.message, bodies)), self.rate(bodies))
 
 
 @dataclass(frozen=True)
@@ -276,12 +274,14 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
     """
     dem = normalize_demand(cache, demand)
     table = _PieceTable(cache)
-    total = make_schedule(cache, schedule.messages).rate
-    vectors = [table.vector(m) for m in schedule.messages]
+    bodies = [table.body(m) for m in schedule.messages]
+    total = table.rate(bodies)
     if total != schedule.rate:
         raise ValidationError(
             f"schedule claims rate {schedule.rate}, but its messages sum to {total}"
         )
+    # repeated summands cancel, as they do in the broadcast
+    vectors = [reduce(xor, (1 << c for c in body)) for body in bodies]
 
     certificates: dict[int, dict[Pair, Certificate]] = {}
     missing: dict[int, tuple[Pair, ...]] = {}
@@ -440,10 +440,10 @@ def toy_schedule(demand, cache: CacheState | None = None) -> DeliverySchedule:
     perm = [0, 0, 0]
     for canon_user, j in enumerate(order, start=1):
         perm[canon_user - 1] = j + 1
-    messages = tuple(
-        DeliveryMessage.build(pairs).permuted(perm) for pairs in _TOY_TABLE[canonical]
+    return make_schedule(
+        reference,
+        (DeliveryMessage.build(pairs).permuted(perm) for pairs in _TOY_TABLE[canonical]),
     )
-    return DeliverySchedule(messages, Fraction(len(messages), 6))
 
 
 # ---------------------------------------------------------------------------
@@ -561,12 +561,8 @@ def greedy_schedule(cache: CacheState, demand) -> DeliverySchedule:
     """
     dem = normalize_demand(cache, demand)
     table = _PieceTable(cache)
-    clique = _clique_pass(table, table.needed(dem))
-    regular = _regular_pass(table, dem)
-    clique_rate, regular_rate = table.rate(clique), table.rate(regular)
-    if clique_rate <= regular_rate:
-        return table.schedule(clique, clique_rate)
-    return table.schedule(regular, regular_rate)
+    passes = (_clique_pass(table, table.needed(dem)), _regular_pass(table, dem))
+    return table.schedule(min(passes, key=table.rate))
 
 
 def _heads(fits: list[list[list[int]]]) -> tuple[int, ...] | None:
@@ -717,7 +713,7 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
     table = _PieceTable(cache)
     needed = {k: columns for k, columns in table.needed(dem).items() if columns}
     if not needed:
-        return DeliverySchedule((), Fraction(0))
+        return table.schedule([])
 
     candidates = _candidate_messages(_CliqueIndex(table, needed))
     positions = []  # per user slot: uncached column -> position
@@ -783,18 +779,14 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
     for depth in range(start, _MAX_MESSAGES + 1):
         picked = search(0, depth)
         if picked is not None:
-            bodies = [candidates[i] for i in picked]
-            return table.schedule(bodies, table.rate(bodies))
+            return table.schedule([candidates[i] for i in picked])
     raise BudgetExceededError(
         f"no schedule within {_MAX_MESSAGES} messages for demand {dict(dem)}"
     )
 
 
-# Named scheduler interface: callables (cache, demand) -> schedule.  The
-# expectations in ``rates`` rate each distinct sub-problem once, so they
-# rely on a scheduler's rate depending only on the holder masks of the
-# requested files, in file order, and on which users share a file; every
-# scheduler here meets that.
+# Named scheduler interface: callables (cache, demand) -> schedule.  Every
+# scheduler here meets the sub-problem contract of ``rates._memo_rate``.
 Scheduler = Callable[[CacheState, object], DeliverySchedule]
 
 SCHEDULERS: dict[str, Scheduler] = {

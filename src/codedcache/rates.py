@@ -2,10 +2,11 @@
 
 Expectations are taken over i.i.d. user requests: ``R = sum_d P(d) R(d)``
 with ``P(d)`` the product of per-file request probabilities.  One path
-rates a scheduler: it enumerates the ``C(N+K-1, K)`` demand multisets, at
-most ``ENUMERATION_LIMIT`` of them, and schedules each distinct
-sub-problem once, at a sorted representative.  Monte Carlo draws demands
-and rates them through the same memo.  The grouping baseline serves every
+takes the expectation of a rate function, a scheduler's or the chain
+bound's: it enumerates the ``C(N+K-1, K)`` demand multisets, at most
+``ENUMERATION_LIMIT`` of them, and rates each distinct sub-problem once,
+at a sorted representative.  Monte Carlo draws demands and rates them
+through the same memo.  The grouping baseline serves every
 group alone, so by linearity of expectation its rate is a sum over groups
 and cache levels.  Its closed kernel takes each term over the law of the
 number of distinct files of the group that are requested; with a
@@ -26,6 +27,7 @@ import csv
 import heapq
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -89,33 +91,41 @@ def _multiset_expectation(popularity: Sequence[Number], multisets, rate: Callabl
     return total
 
 
-def _memo_rate(cache, scheduler: Scheduler, memo: dict) -> Callable:
-    """The rate of `scheduler` on a sorted representative of `cache`'s
+def _schedule_rate(scheduler: Scheduler) -> Callable:
+    """The rate function of `scheduler`: the rate of its schedule."""
+    return lambda cache, rep: scheduler(cache, rep).rate
+
+
+def _memo_rate(cache, rate_of: Callable, memo: dict) -> Callable:
+    """``rate_of(cache, rep)`` on a sorted representative of `cache`'s
     demands, looked up in, and added to, `memo`.
 
     A representative's key is, in user order, each user's requested file
     as its holder-mask row and its position among the distinct requested
     files in ascending order.  Files with equal rows have equal piece
-    counts, and a scheduler that meets the :data:`Scheduler` contract reads
-    only the requested files' columns, in file order, so equal keys have
-    equal rates, across placements of one user count too.
+    counts.  The sub-problem contract: `rate_of` reads only the requested
+    files' rows, in file order, and which users share a file, so equal
+    keys have equal rates, across placements of one user count too; a
+    memo serves one rate function.  Every scheduler of ``SCHEDULERS``
+    meets it, and so does ``chain_bound``, which reads only the requested
+    files' masks and which users share a file.
     """
 
     def rate(rep: tuple[int, ...]) -> Fraction:
         position = {f: j for j, f in enumerate(sorted(set(rep)))}
         key = tuple((cache.masks[f - 1], position[f]) for f in rep)
         if key not in memo:
-            memo[key] = scheduler(cache, rep).rate
+            memo[key] = rate_of(cache, rep)
         return memo[key]
 
     return rate
 
 
-def _scheduled_expectation(cfg: PlacementConfig, scheduler: Scheduler, memo: dict):
-    """:func:`expected_rate_exact`, with the rates of its sub-problems
-    looked up in, and added to, `memo` (see :func:`_memo_rate`)."""
+def _scheduled_expectation(cfg: PlacementConfig, rate_of: Callable, memo: dict):
+    """The expectation of `rate_of` on the placement of `cfg`, with its
+    sub-problems' rates looked up in, and added to, `memo` (see :func:`_memo_rate`)."""
     multisets = _demand_multisets(cfg.num_files, cfg.users)
-    rate = _memo_rate(place(cfg), scheduler, memo)
+    rate = _memo_rate(place(cfg), rate_of, memo)
     return _multiset_expectation(cfg.popularity, multisets, rate)
 
 
@@ -130,15 +140,13 @@ def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
     scheduler's rate on ``beta`` placements never changes: every piece has
     one size, so the rate is a minimum message count.  The greedy
     scheduler's can: at K = 5, r = (3, 2) the demand (1, 2, 1, 2, 2) costs
-    9/10 and (2, 1, 2, 2, 1) costs 14/15.  Representatives whose requested
-    files have equal holder-mask rows, with the same users sharing a file,
-    are scheduled once; that relies on the :data:`Scheduler` contract, that
-    a rate depends only on those rows and on which users share a file.
+    9/10 and (2, 1, 2, 2, 1) costs 14/15.  Each distinct sub-problem is
+    scheduled once, under the contract stated at :func:`_memo_rate`.
     Exact rational popularity gives an exact rational result.  Raises
     :class:`LimitExceededError`, before anything is placed, when the
     ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``.
     """
-    return _scheduled_expectation(cfg, scheduler, {})
+    return _scheduled_expectation(cfg, _schedule_rate(scheduler), {})
 
 
 @dataclass(frozen=True)
@@ -168,7 +176,7 @@ def expected_rate_mc(
     weights = [float(p) for p in cfg.popularity]
     draws = random.Random(seed).choices(range(1, cfg.num_files + 1), weights, k=samples * k)
     counts = Counter(tuple(sorted(draws[i : i + k])) for i in range(0, len(draws), k))
-    rate = _memo_rate(place(cfg), scheduler, {})
+    rate = _memo_rate(place(cfg), _schedule_rate(scheduler), {})
     rates = {rep: float(rate(rep)) for rep in counts}
     mean = sum(c * rates[rep] for rep, c in counts.items()) / samples
     if samples > 1:
@@ -284,6 +292,19 @@ def _cross(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
+def _lower_hull(nodes, collinear: bool) -> list:
+    """The lower convex hull of `nodes`, given in strictly increasing x, by
+    the monotone chain.  A node collinear with its neighbours stays on the
+    hull iff `collinear`; otherwise a node leaves it only at a strict turn."""
+    drops = operator.lt if collinear else operator.le
+    hull: list = []
+    for node in nodes:
+        while len(hull) >= 2 and drops(_cross(hull[-2], hull[-1], node), 0):
+            hull.pop()
+        hull.append(node)
+    return hull
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Lower convex envelope of achievable points over cache size."""
@@ -319,12 +340,7 @@ def lower_envelope(points: Sequence[RatePoint]) -> Envelope:
         cur = best.get(pt.m)
         if cur is None or pt.rate < cur[1]:
             best[pt.m] = (pt.m, pt.rate)
-    chain = sorted(best.values())
-    hull: list[tuple[Fraction, Number]] = []
-    for node in chain:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], node) <= 0:
-            hull.pop()
-        hull.append(node)
+    hull = _lower_hull(sorted(best.values()), collinear=False)
     env = Envelope(points=pts, vertices=tuple(hull), labels=())
     levels = {m: env.value(m) for m in best}
     labels = []
@@ -496,7 +512,7 @@ def alpha_expected_rate(
                     cfg = make_config(users, [size, 1], [t, users], group_pop + (rest,), "alpha")
                 else:
                     cfg = make_config(users, [size], [t], group_pop, "alpha")
-                total += w * _scheduled_expectation(cfg, scheduler, memo)
+                total += w * _scheduled_expectation(cfg, _schedule_rate(scheduler), memo)
     return total
 
 
@@ -512,14 +528,14 @@ def beta_points(
     Each point is :func:`expected_rate_exact` of its placement, but the
     rates of the sub-problems are shared across the sweep: two vectors that
     agree on the groups a demand requests, r = (2, 2) and (2, 0) on a
-    demand of group-1 files say, schedule it once.  This relies on the
-    :data:`Scheduler` contract, that a rate depends only on the requested
-    files' holder masks and on which users share a file."""
+    demand of group-1 files say, schedule it once, under the contract
+    stated at :func:`_memo_rate`."""
     out = []
     memo: dict = {}
+    rate_of = _schedule_rate(scheduler)
     for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes)):
         cfg = make_config(users, sizes, list(r), popularity, strategy="beta")
-        rate = _scheduled_expectation(cfg, scheduler, memo)
+        rate = _scheduled_expectation(cfg, rate_of, memo)
         out.append(RatePoint(cfg.memory, rate, label=f"beta r={r}", params=r))
     return tuple(out)
 
@@ -568,12 +584,7 @@ def _hull_steps(size: int, rates: Sequence) -> list[tuple[Number, int]]:
     ``(t * size, rates[t])``, ``t = 0..K``, in hull order, each as its slope
     and the level it ends at.  Collinear levels stay on the hull: a level
     leaves it only at a strict turn."""
-    hull: list[tuple[int, Number]] = []
-    for t, y in enumerate(rates):
-        node = (t * size, y)
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], node) < 0:
-            hull.pop()
-        hull.append(node)
+    hull = _lower_hull([(t * size, y) for t, y in enumerate(rates)], collinear=True)
     return [((y1 - y0) / (x1 - x0), x1 // size) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
 
 

@@ -6,14 +6,22 @@ import pytest
 
 from codedcache import (
     ValidationError,
+    alpha_envelope,
+    beta_points,
     chain_bound,
     classic_rate,
     exhaustive_schedule,
+    lower_envelope,
     make_config,
     place,
     toy_cache,
 )
-from codedcache.rates import _demand_multisets, _multiset_expectation
+from codedcache.rates import (
+    RatePoint,
+    _demand_multisets,
+    _multiset_expectation,
+    _scheduled_expectation,
+)
 
 
 def brute_chain_bound(cache, demand):
@@ -92,3 +100,53 @@ def test_chain_bound_edge_demands():
     for demand in [(1, 2), (1, 2, 3), {4: 1}, (True, 1, 1)]:
         with pytest.raises(ValidationError):
             chain_bound(cache, demand)
+
+
+def bound_envelope(users, sizes, popularity):
+    """The lower envelope of the bound over every non-increasing r vector:
+    each point is the expected :func:`chain_bound` of that ``beta``
+    placement, rated through the scheduler's expectation kernel with one
+    memo for the sweep, as ``beta_points`` rates a scheduler."""
+    memo, points = {}, []
+    for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes)):
+        cfg = make_config(users, sizes, list(r), popularity, strategy="beta")
+        rate = _scheduled_expectation(cfg, chain_bound, memo)
+        points.append(RatePoint(cfg.memory, rate, label=f"bound r={r}", params=r))
+    return lower_envelope(points)
+
+
+@pytest.mark.parametrize(
+    "popularity, gaps",
+    [
+        (
+            (Fraction(3, 4), Fraction(1, 4)),
+            {3: Fraction(5, 96), 4: Fraction(11, 512), 5: Fraction(121, 5120),
+             6: Fraction(137, 61440), 8: 0},
+        ),
+        (
+            (Fraction(9, 10), Fraction(1, 10)),
+            {3: 0, 4: 0, 5: 0, 6: 0, 8: Fraction(6953279, 400000000)},
+        ),
+    ],
+    ids=["3/4", "9/10"],
+)
+def test_alpha_less_the_bound_envelope_at_unit_cache(popularity, gaps):
+    # the room beta could have over alpha at M = 1 on grouping (1, 1): no
+    # delivery on any beta placement of the family gets below the bound
+    for users, gap in gaps.items():
+        alpha = alpha_envelope(users, popularity).value(1)
+        assert alpha - bound_envelope(users, (1, 1), popularity).value(1) == gap, users
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 2), (1, 1, 1), (2, 2)])
+def test_bound_envelope_is_the_exhaustive_envelope_at_three_users(sizes):
+    # the certify-sweep groupings, at the uniform and four random popularities
+    files = sum(sizes)
+    rng = random.Random(files * 10 + len(sizes))
+    popularities = [[Fraction(1, files)] * files]
+    for _ in range(4):
+        weights = sorted((rng.randint(1, 20) for _ in range(files)), reverse=True)
+        popularities.append([Fraction(w, sum(weights)) for w in weights])
+    for popularity in popularities:
+        exhaustive = lower_envelope(beta_points(3, sizes, popularity))
+        assert bound_envelope(3, sizes, popularity).vertices == exhaustive.vertices, popularity

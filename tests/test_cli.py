@@ -346,6 +346,19 @@ def test_rates_empty_strategies_exits_2(toy_path, capsys):
     assert main(["rates", str(toy_path), "--p-grid", "1.0", "--strategies", ""]) == 2
 
 
+@pytest.mark.parametrize(
+    "mode", [["--p-grid", "0.5:1:0.25"], ["--m-sweep"]], ids=["p-grid", "m-sweep"]
+)
+@pytest.mark.parametrize("strategies", ["alpha,alpha", "beta,alpha,beta"])
+def test_rates_repeated_strategy_exits_2(toy_path, tmp_path, capsys, mode, strategies):
+    out = tmp_path / "rates.csv"
+    argv = ["rates", str(toy_path), *mode, "--strategies", strategies, "--csv", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--strategies needs a subset of: alpha,beta" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 @pytest.mark.parametrize("strategies", ["beta", "alpha", "beta,alpha"])
 def test_rates_p_grid_columns_follow_the_strategies_asked(toy_path, capsys, strategies):
     closed = {"alpha": rate_alpha_closed, "beta": rate_beta_closed}

@@ -815,6 +815,20 @@ def test_mixed_sizes_and_wrong_rates_still_raise():
         decodable(cache, wrong, (1, 2, 1, 2))
 
 
+def test_make_schedule_rejects_a_summand_that_is_no_piece_of_the_placement():
+    # a (3, 0) chain names no piece of an r = (2, 1) file; decodable, which
+    # rates through the same columns, rejects it with the same message
+    cache = toy_cache()
+    stray = enumerate_indices(3, (3, 0))[0]
+    assert stray not in cache.indices(1)
+    for messages in ([DeliveryMessage.build([(1, stray)])],
+                     toy_schedule((1, 1, 2)).messages + (DeliveryMessage.build([(2, stray)]),)):
+        with pytest.raises(ValidationError, match="unknown piece"):
+            make_schedule(cache, messages)
+        with pytest.raises(ValidationError, match="unknown piece"):
+            decodable(cache, DeliverySchedule(tuple(messages), Fraction(1)), (1, 1, 2))
+
+
 def test_schedule_json_round_trip():
     schedule = toy_schedule((1, 2, 2))
     data = schedule_to_json(schedule, 3, demand=(1, 2, 2))

@@ -652,7 +652,9 @@ def test_beta_points_reuse_changes_no_exhaustive_outcome_at_four_users(monkeypat
         for r in itertools.combinations_with_replacement(range(4, -1, -1), len(sizes)):
             cfg = make_config(4, sizes, list(r), popularity, strategy="beta")
             plain = _outcome(lambda: _plain_expectation(cfg, EXHAUSTIVE))
-            shared = _outcome(lambda: rates._scheduled_expectation(cfg, EXHAUSTIVE, memo))
+            shared = _outcome(
+                lambda: rates._scheduled_expectation(cfg, rates._schedule_rate(EXHAUSTIVE), memo)
+            )
             assert shared == plain
     assert returned >= 3  # the one-group sweeps return
 
