@@ -29,7 +29,8 @@ from . import __version__
 from .delivery import (
     SCHEDULERS,
     decodable,
-    exhaustive_schedule,
+    exhaustive_rate,
+    exhaustive_schedule,  # noqa: F401  bench/tests/test_bench.py reads this binding
     normalize_demand,
     schedule_text,
     schedules_json_text,
@@ -194,7 +195,7 @@ def cmd_rates(args) -> int:
         if "beta" in strategies:
             sizes = [g.size for g in cfg.groups]
             envelopes["beta"] = lower_envelope(
-                beta_points(cfg.users, sizes, cfg.popularity, exhaustive_schedule)
+                beta_points(cfg.users, sizes, cfg.popularity, exhaustive_rate)
             )
         if "alpha" in strategies:
             envelopes["alpha"] = alpha_envelope(cfg.users, cfg.popularity)

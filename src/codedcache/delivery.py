@@ -33,6 +33,10 @@ Three schedule producers are provided:
   branch is cut once some user lacks more than the candidates left that
   reach it.
 
+:func:`exhaustive_rate` is the exhaustive schedule's rate alone: where
+greedy's clique pass already meets the piece-count chain bound with
+pieces of one size, that pass's rate is the search's, and no search runs.
+
 :func:`chain_bound` is the lower bound on any delivery's rate: the best
 sum, over users with distinct files taken in order, of the share of each
 one's file that none of them so far holds.
@@ -663,6 +667,12 @@ _MAX_MESSAGES = 12
 _MAX_NODES = 1_000_000
 
 
+def _piece_count_bound(cache: CacheState, dem: Mapping[int, int]) -> int:
+    """The :func:`chain_bound` with every piece counted as 1: no GF(2)
+    schedule sends fewer messages."""
+    return _chain_dp(cache, dem, dict.fromkeys(dem.values(), 1))
+
+
 def _candidate_messages(index: _CliqueIndex) -> list[tuple[int, ...]]:
     """Clique-style candidate family, as sorted column tuples in ascending
     order: every summand is needed by one participating user and cached by
@@ -688,10 +698,12 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
     result is minimal within the family; no claim is made against
     arbitrary linear schedules.  Raises :class:`BudgetExceededError` when
     no schedule exists within ``_MAX_MESSAGES`` messages or the search
-    visits more than ``_MAX_NODES`` nodes.
+    visits more than ``_MAX_NODES`` nodes, and when the candidate family
+    exceeds ``_CANDIDATE_CAP`` messages.
 
-    The deepening starts at the :func:`chain_bound` with every piece
-    counted as 1, which is never below the largest needed-piece count.
+    The deepening starts at :func:`_piece_count_bound`, the
+    :func:`chain_bound` with every piece counted as 1, which is never below
+    the largest needed-piece count.
     Read with every piece as one symbol, a schedule of ``c`` messages is a
     linear code of length ``c``, so ``c`` is at least that bound: no
     shallower depth holds a schedule, and the first schedule found is the
@@ -774,9 +786,7 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
                 deficiency[u] += top < sizes[u]
         return None
 
-    # no GF(2) schedule sends fewer messages than the piece-count bound
-    start = _chain_dp(cache, dem, dict.fromkeys(dem.values(), 1))
-    for depth in range(start, _MAX_MESSAGES + 1):
+    for depth in range(_piece_count_bound(cache, dem), _MAX_MESSAGES + 1):
         picked = search(0, depth)
         if picked is not None:
             return table.schedule([candidates[i] for i in picked])
@@ -785,8 +795,42 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
     )
 
 
+def exhaustive_rate(cache: CacheState, demand) -> Fraction:
+    """The rate of :func:`exhaustive_schedule`, without its search where
+    greedy's clique pass already meets the piece-count chain bound.
+
+    The clique pass's messages are certified when their count equals
+    :func:`_piece_count_bound` and that bound is at most
+    ``_MAX_MESSAGES``, when each has at most ``_MAX_SUMMANDS`` summands,
+    and when the needed pieces have one piece size; their rate is then
+    returned.  Otherwise the search runs and its rate is returned.
+
+    The value is the search's.  Each clique-pass message is a clique of
+    the index the search starts from, so it is one of its candidates, and
+    no schedule has fewer messages than the bound.  With one piece size
+    every schedule of that many messages has one rate, which is the rate
+    the search returns when it returns.  Where the search would raise
+    :class:`BudgetExceededError`, past ``_MAX_NODES`` nodes or
+    ``_CANDIDATE_CAP`` candidates, a certified rate is returned instead.
+    """
+    dem = normalize_demand(cache, demand)
+    table = _PieceTable(cache)
+    needed = table.needed(dem)
+    messages = _clique_pass(table, needed)
+    bound = _piece_count_bound(cache, dem)
+    sizes = {table.counts[c] for columns in needed.values() for c in columns}
+    if (
+        len(messages) == bound <= _MAX_MESSAGES
+        and all(len(body) <= _MAX_SUMMANDS for body in messages)
+        and len(sizes) <= 1
+    ):
+        return table.rate(messages)
+    return exhaustive_schedule(cache, demand).rate
+
+
 # Named scheduler interface: callables (cache, demand) -> schedule.  Every
-# scheduler here meets the sub-problem contract of ``rates._memo_rate``.
+# scheduler here meets the sub-problem contract of ``rates._memo_rate``,
+# and so does :func:`exhaustive_rate`.
 Scheduler = Callable[[CacheState, object], DeliverySchedule]
 
 SCHEDULERS: dict[str, Scheduler] = {

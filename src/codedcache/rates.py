@@ -37,7 +37,8 @@ from math import comb
 from typing import Callable, Sequence
 
 from .combinatorics import _require_int
-from .delivery import Scheduler, exhaustive_schedule
+from .delivery import Scheduler, exhaustive_rate
+from .delivery import exhaustive_schedule  # noqa: F401  bench/tests/test_bench.py reads this binding
 from .errors import LimitExceededError, ValidationError
 from .placement import (
     PlacementConfig,
@@ -91,9 +92,16 @@ def _multiset_expectation(popularity: Sequence[Number], multisets, rate: Callabl
     return total
 
 
-def _schedule_rate(scheduler: Scheduler) -> Callable:
-    """The rate function of `scheduler`: the rate of its schedule."""
-    return lambda cache, rep: scheduler(cache, rep).rate
+def _schedule_rate(scheduler: Callable) -> Callable:
+    """The rate function of a scheduler, or of a rate function such as
+    ``exhaustive_rate`` or ``chain_bound``: a returned ``Fraction`` is the
+    rate, anything else is a schedule and gives its ``.rate``."""
+
+    def rate(cache, rep) -> Fraction:
+        out = scheduler(cache, rep)
+        return out if isinstance(out, Fraction) else out.rate
+
+    return rate
 
 
 def _memo_rate(cache, rate_of: Callable, memo: dict) -> Callable:
@@ -107,7 +115,8 @@ def _memo_rate(cache, rate_of: Callable, memo: dict) -> Callable:
     files' rows, in file order, and which users share a file, so equal
     keys have equal rates, across placements of one user count too; a
     memo serves one rate function.  Every scheduler of ``SCHEDULERS``
-    meets it, and so does ``chain_bound``, which reads only the requested
+    meets it, and so do ``exhaustive_rate``, whose rate is the exhaustive
+    scheduler's, and ``chain_bound``, which reads only the requested
     files' masks and which users share a file.
     """
 
@@ -130,7 +139,8 @@ def _scheduled_expectation(cfg: PlacementConfig, rate_of: Callable, memo: dict):
 
 
 def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
-    """Exact expected rate of `scheduler` on the placement of `cfg`.
+    """Exact expected rate of `scheduler`, a scheduler or a rate function
+    (see :func:`_schedule_rate`), on the placement of `cfg`.
 
     Demand vectors are grouped by multiset, and each multiset is rated at
     its sorted representative.  So the result is the expected rate of
@@ -164,7 +174,8 @@ def expected_rate_mc(
     """Unbiased Monte Carlo estimate of the expected rate.
 
     Deterministic for a fixed seed: ``random.Random(seed)`` draws every
-    user's request.  Each draw is sorted and rated through the memoised
+    user's request.  `scheduler` is a scheduler or a rate function (see
+    :func:`_schedule_rate`).  Each draw is sorted and rated through the memoised
     rate that :func:`_scheduled_expectation` uses, so every distinct
     sub-problem is scheduled once; as for :func:`expected_rate_exact`, this estimates
     the expected rate of scheduling each sorted demand, which differs from
@@ -482,7 +493,8 @@ def alpha_expected_rate(
     exact law of D_g, the number of the group's files that are requested
     (:func:`_distinct_law`): no demand is enumerated, ``N**K`` is not
     bounded, and each group's level rates are cached across calls.  With
-    `scheduler` set (e.g. the exhaustive solver), ``R_g(t)`` is
+    `scheduler` set, a scheduler or a rate function (e.g. the exhaustive
+    solver or its rate, see :func:`_schedule_rate`), ``R_g(t)`` is
     :func:`expected_rate_exact` of the group's own ``alpha`` config: its
     files at ``r = t`` and, when the files outside it have popularity
     ``rest > 0``, one more file of popularity `rest` at ``r = K``.  Every
@@ -520,10 +532,12 @@ def beta_points(
     users: int,
     sizes: Sequence[int],
     popularity: Sequence,
-    scheduler: Scheduler = exhaustive_schedule,
+    scheduler: Callable = exhaustive_rate,
 ) -> tuple[RatePoint, ...]:
     """Achievable points of the cross-group strategy for one grouping:
-    every valid non-increasing replication vector, rated by `scheduler`.
+    every valid non-increasing replication vector, rated by `scheduler`, a
+    scheduler or rate function (see :func:`_schedule_rate`); by default the
+    exhaustive scheduler's rate, :func:`exhaustive_rate`.
 
     Each point is :func:`expected_rate_exact` of its placement, but the
     rates of the sub-problems are shared across the sweep: two vectors that

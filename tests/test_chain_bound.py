@@ -102,17 +102,33 @@ def test_chain_bound_edge_demands():
             chain_bound(cache, demand)
 
 
-def bound_envelope(users, sizes, popularity):
-    """The lower envelope of the bound over every non-increasing r vector:
-    each point is the expected :func:`chain_bound` of that ``beta``
-    placement, rated through the scheduler's expectation kernel with one
-    memo for the sweep, as ``beta_points`` rates a scheduler."""
+def bound_points(users, sizes, popularity):
+    """The bound's point for every non-increasing r vector: the expected
+    :func:`chain_bound` of that ``beta`` placement, rated through the
+    scheduler's expectation kernel with one memo for the sweep."""
     memo, points = {}, []
     for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes)):
         cfg = make_config(users, sizes, list(r), popularity, strategy="beta")
         rate = _scheduled_expectation(cfg, chain_bound, memo)
         points.append(RatePoint(cfg.memory, rate, label=f"bound r={r}", params=r))
-    return lower_envelope(points)
+    return points
+
+
+def bound_envelope(users, sizes, popularity):
+    """The lower envelope of :func:`bound_points`."""
+    return lower_envelope(bound_points(users, sizes, popularity))
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (1, 2), (1, 1, 1), (2, 2)])
+def test_beta_points_rate_the_bound_as_a_rate_function(sizes):
+    # beta_points takes chain_bound as it is, as it takes a scheduler
+    files = sum(sizes)
+    popularity = [Fraction(w, files * (files + 1) // 2) for w in range(files, 0, -1)]
+    got = beta_points(3, sizes, popularity, chain_bound)
+    want = bound_points(3, sizes, popularity)
+    assert [(pt.m, pt.rate, pt.params) for pt in got] == [
+        (pt.m, pt.rate, pt.params) for pt in want
+    ]
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import itertools
 import json
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,10 @@ from codedcache import (
     DeliverySchedule,
     UnsupportedConfigError,
     ValidationError,
+    chain_bound,
     decodable,
     enumerate_indices,
+    exhaustive_rate,
     exhaustive_schedule,
     greedy_schedule,
     index_rank,
@@ -716,6 +719,48 @@ def test_exhaustive_finds_the_two_basis_schedule_at_four_users(monkeypatch):
             assert exhaustive_schedule(cache, demand) == expected
             found += 1
     assert found > 200
+
+
+def test_exhaustive_rate_is_the_searched_rate(monkeypatch):
+    # where the search returns, the rate function returns its rate; where
+    # only the rate function returns, the clique pass met the bound
+    monkeypatch.setattr(delivery, "_MAX_NODES", 20_000)
+    rng = random.Random(22)
+    outcomes = Counter()
+    for _ in range(300):
+        cfg, cache, demand = random_setup(rng, max_users=5)
+        table = _PieceTable(cache)
+        clique_pass = delivery._clique_pass(table, table.needed(normalize_demand(cache, demand)))
+        assert decodable(cache, table.schedule(clique_pass), demand).ok
+        try:
+            searched = exhaustive_schedule(cache, demand).rate
+        except BudgetExceededError:
+            searched = None
+        try:
+            rate = exhaustive_rate(cache, demand)
+        except BudgetExceededError:
+            assert searched is None
+            outcomes["both raise"] += 1
+            continue
+        if searched is None:
+            assert rate == chain_bound(cache, demand), (cfg, demand)
+            outcomes["search raises"] += 1
+        else:
+            assert rate == searched, (cfg, demand)
+            outcomes["both return"] += 1
+    assert outcomes["both return"] > 200
+    assert outcomes["search raises"] > 0
+
+
+def test_exhaustive_rate_returns_the_bound_where_the_search_runs_out(monkeypatch):
+    # one group of two files at level 3 of 5, S = 10: the clique pass sends
+    # 5 four-summand messages, as many as the piece-count bound
+    monkeypatch.setattr(delivery, "_MAX_NODES", 20_000)
+    cache = place(make_config(5, [2], [3]))
+    demand = (2, 2, 1, 2, 1)
+    with pytest.raises(BudgetExceededError, match="20000 nodes"):
+        exhaustive_schedule(cache, demand)
+    assert exhaustive_rate(cache, demand) == chain_bound(cache, demand) == Fraction(1, 2)
 
 
 def test_exhaustive_deterministic():

@@ -683,6 +683,35 @@ def test_beta_points_schedules_each_sub_problem_once(sizes, calls):
     assert len(seen) == calls
 
 
+@pytest.mark.parametrize(
+    "sizes, searches, sub_problems",
+    [((1, 1), 3, 28), ((1, 2), 3, 42), ((1, 1, 1), 4, 68), ((2, 2), 4, 52)],
+    ids=str,
+)
+def test_beta_points_searches_only_where_the_clique_pass_misses_the_bound(
+    monkeypatch, sizes, searches, sub_problems
+):
+    # the default rate function certifies the other sub-problems by the
+    # piece-count chain bound and runs no search on them
+    searched, rated = [], []
+    search = delivery.exhaustive_schedule
+
+    def counting_search(cache, demand):
+        searched.append(demand)
+        return search(cache, demand)
+
+    def counting_rate(cache, demand):
+        rated.append(demand)
+        return delivery.exhaustive_rate(cache, demand)
+
+    monkeypatch.setattr(delivery, "exhaustive_schedule", counting_search)
+    popularity = _popularity(sum(sizes))
+    points = beta_points(3, sizes, popularity)
+    assert len(searched) == searches
+    assert beta_points(3, sizes, popularity, counting_rate) == points
+    assert len(rated) == sub_problems
+
+
 def test_strategy_envelopes_at_unit_cache_match_closed_forms():
     p = Fraction(153, 200)
     beta_env = lower_envelope(beta_points(3, [1, 1], [p, 1 - p]))
