@@ -3,7 +3,8 @@
 Subcommands
     place    write the cache contents for a config
     deliver  build (and optionally verify) delivery schedules
-    rates    emit rate curves as CSV
+    rates    emit rate curves as CSV; ``--m-sweep`` also gives ``bound``,
+             the chain bound's envelope over the ``beta`` placements
 
 Exit codes: 0 success, 2 usage/validation error (including a path that
 cannot be read or written), 3 verification failure, 4 resource limit
@@ -28,6 +29,7 @@ from pathlib import Path
 from . import __version__
 from .delivery import (
     SCHEDULERS,
+    chain_bound,
     decodable,
     exhaustive_rate,
     exhaustive_schedule,  # noqa: F401  bench/tests/test_bench.py reads this binding
@@ -179,10 +181,13 @@ def _reference_setup(cfg) -> bool:
 def cmd_rates(args) -> int:
     cfg = load_config(args.config)
     strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    if sorted(strategies) not in (["alpha"], ["beta"], ["alpha", "beta"]):
-        raise ValidationError("--strategies needs a subset of: alpha,beta")
+    chosen = set(strategies)
+    if not chosen or len(chosen) < len(strategies) or not chosen <= {"alpha", "beta", "bound"}:
+        raise ValidationError("--strategies needs a subset of: alpha,beta,bound")
 
     if args.p_grid:
+        if "bound" in chosen:
+            raise ValidationError("--p-grid has no bound curve; use --m-sweep for it")
         if not _reference_setup(cfg):
             raise ValidationError(
                 "--p-grid curves are the cache-size-1 closed forms of the "
@@ -191,14 +196,16 @@ def cmd_rates(args) -> int:
         comparison = compare_strategies(_parse_grid(args.p_grid))
         curves = [getattr(comparison, name) for name in strategies]
     else:
+        sizes = [g.size for g in cfg.groups]
         envelopes = {}
-        if "beta" in strategies:
-            sizes = [g.size for g in cfg.groups]
-            envelopes["beta"] = lower_envelope(
-                beta_points(cfg.users, sizes, cfg.popularity, exhaustive_rate)
-            )
-        if "alpha" in strategies:
-            envelopes["alpha"] = alpha_envelope(cfg.users, cfg.popularity)
+        for name in strategies:
+            if name == "alpha":
+                envelopes[name] = alpha_envelope(cfg.users, cfg.popularity)
+                continue
+            # bound rates the beta placements by the chain bound, so its
+            # envelope is below every delivery on any of them
+            rate = exhaustive_rate if name == "beta" else chain_bound
+            envelopes[name] = lower_envelope(beta_points(cfg.users, sizes, cfg.popularity, rate))
         grid = sorted({m for env in envelopes.values() for m, _ in env.vertices})
         curves = [
             RateCurve(

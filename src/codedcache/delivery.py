@@ -6,8 +6,12 @@ the piece sizes.  Decodability is checked by linear algebra over GF(2).
 A user's side information is read off the holder masks and never enters
 a basis: user ``k`` sees each message only on the columns it does not
 cache, and can recover a piece iff its unit vector lies in the span of
-those masked messages.  The witnessing messages, plus the cached pieces
-that cancel the rest of their sum, are returned as a certificate.
+those masked messages.  The verdict is one echelon pass per user over
+the masked messages, with no record of which messages were combined.
+The certificates - the witnessing messages, plus the cached pieces that
+cancel the rest of their sum - are solved only when a report's
+``certificates`` is first read; ``deliver --verify`` reads the verdict
+alone, and the certificates are evidence for tests and library callers.
 
 Inside the module a piece is its GF(2) column, one int per (file, rank);
 a table built per call holds each column's holder mask, piece count and
@@ -54,12 +58,12 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import comb, prod
 from operator import xor
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NoReturn, Sequence
 
-from .combinatorics import SubfileIndex, _rank_table, _require_int, _users_from_mask
+from .combinatorics import SubfileIndex, _require_int, _users_from_mask
 from .errors import BudgetExceededError, UnsupportedConfigError, ValidationError
 from .gf2 import GF2Basis
 from .placement import CacheState, Pair, _list_parts, _nl, place_beta, toy_config
@@ -197,18 +201,29 @@ class _PieceTable:
         start = self.offsets[file - 1]
         return range(start, start + len(self.cache.masks[file - 1]))
 
+    @cached_property
+    def _column_of(self) -> dict[Pair, int]:
+        """Each column keyed by its pair, built on the first :meth:`body`,
+        so a table that reads no message pays nothing for it."""
+        return {pair: c for c, pair in enumerate(self.pairs)}
+
     def body(self, message: DeliveryMessage) -> list[int]:
         """The message's columns, in summand order; raises for a summand
-        that is no piece of the placement or of a file out of range, and
-        for summands of unequal piece counts, whose XOR is not defined."""
-        cache = self.cache
+        that is no piece of the placement, whose file is not an int or is
+        out of range, and for summands of unequal piece counts, whose XOR
+        is not defined.
+
+        Each summand is one dict lookup of its whole pair.  A file of
+        ``1.0`` or ``True`` equals 1 and hashes as 1, and a plain tuple
+        equals the :class:`SubfileIndex` of its masks, so the lookup alone
+        would take them: the types are checked as well."""
+        column_of = self._column_of
         columns = []
-        for f, idx in message.summands:
-            at = cache._at(f)
-            rank = _rank_table(cache.users, cache.spaces[at]).get(idx.masks)
-            if rank is None:
-                raise ValidationError(f"unknown piece {idx} for file {f}")
-            columns.append(self.offsets[at] + rank)
+        for pair in message.summands:
+            column = column_of.get(pair)
+            if column is None or type(pair[0]) is not int or type(pair[1]) is not SubfileIndex:
+                self._reject(pair)
+            columns.append(column)
         sizes = {self.counts[c] for c in columns}
         if len(sizes) != 1:
             raise ValidationError(
@@ -216,6 +231,17 @@ class _PieceTable:
                 f"sub-packetizations {sorted(sizes)} is not defined"
             )
         return columns
+
+    def _reject(self, summand) -> NoReturn:
+        """Raise the :class:`ValidationError` that names what is wrong with
+        a summand that is not one of :attr:`pairs`."""
+        f, idx = summand
+        if type(f) is not int:
+            raise ValidationError(f"file must be an integer, got {f!r}")
+        self.cache._at(f)  # raises for a file outside [1, N]
+        if type(idx) is not SubfileIndex:
+            raise ValidationError(f"piece {idx!r} of file {f} is not a SubfileIndex")
+        raise ValidationError(f"unknown piece {idx} for file {f}")
 
     def message(self, columns: Sequence[int]) -> DeliveryMessage:
         """The message XORing these distinct, ascending columns."""
@@ -243,14 +269,56 @@ class Certificate:
 
 @dataclass(frozen=True)
 class DecodeReport:
-    """Outcome of a decodability check with per-user evidence."""
+    """Outcome of a decodability check with per-user evidence.
+
+    ``ok`` and ``missing`` are the verdict: per demanding user, in user
+    order, the needed pieces it cannot recover, in column order.
+    ``certificates`` maps every demanding user, in user order, to each
+    needed piece it recovers, in column order, and how; it is solved on
+    its first read from the message vectors and columns the verdict kept,
+    and then cached.  ``deliver --verify`` reads the verdict alone, so
+    only a caller that asks for the evidence pays for it.
+    """
 
     ok: bool
-    certificates: dict[int, dict[Pair, Certificate]] = field(repr=False)
     missing: dict[int, tuple[Pair, ...]]
+    # what the certificates are solved from: each column's pair, each
+    # message as a set of column bits, and per user its needed columns and
+    # the bits of the columns it does not cache
+    _pairs: Sequence[Pair] = field(repr=False, compare=False)
+    _vectors: Sequence[int] = field(repr=False, compare=False)
+    _users: Mapping[int, tuple[list[int], int]] = field(repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.ok
+
+    @cached_property
+    def certificates(self) -> dict[int, dict[Pair, Certificate]]:
+        """Per user, each recoverable needed piece's certificate.
+
+        One tagged :class:`GF2Basis` per user holds the messages cut to
+        its uncached columns; a piece's solve names the messages, and the
+        columns left in their sum besides the piece, all of them cached,
+        are its cache entries."""
+        pairs, vectors = self._pairs, self._vectors
+        certificates: dict[int, dict[Pair, Certificate]] = {}
+        for k, (needed, uncached) in self._users.items():
+            basis = GF2Basis()
+            for i, vec in enumerate(vectors):
+                basis.add(vec & uncached, tag=i)
+            user_certs: dict[Pair, Certificate] = {}
+            for column in needed:
+                combo = basis.solve(1 << column)
+                if combo is None:
+                    continue
+                used = _set_bits(combo)
+                rest = 1 << column
+                for i in used:
+                    rest ^= vectors[i]
+                entries = tuple(pairs[c] for c in _set_bits(rest))
+                user_certs[pairs[column]] = Certificate(entries, tuple(used))
+            certificates[k] = user_certs
+        return certificates
 
 
 def _set_bits(vec: int) -> list[int]:
@@ -263,18 +331,34 @@ def _set_bits(vec: int) -> list[int]:
     return out
 
 
+def _residual(rows: Mapping[int, int], vec: int) -> int:
+    """`vec` reduced against echelon `rows`, keyed by top bit, until its top
+    bit is no row's; 0 iff `vec` is in their span."""
+    while vec:
+        row = rows.get(vec.bit_length() - 1)
+        if row is None:
+            break
+        vec ^= row
+    return vec
+
+
 def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeReport:
     """Check that every user can recover every piece of its requested file.
 
-    Returns a report whose truth value is the verdict; on success each
-    needed piece carries the exact combination of cached pieces and
-    broadcast messages that reconstructs it.  A user's cache is read off
-    the holder masks, so its basis holds only the messages, each cut to
-    the columns the user does not cache; the certificate's cache entries
-    are the columns left in the sum of its messages besides the piece,
-    all of them cached.  Raises :class:`ValidationError` for a malformed
-    schedule: a summand outside the placement, a message mixing piece
-    sizes, or a claimed rate that is not the sum of the message sizes.
+    Returns a report whose truth value is the verdict and whose
+    ``missing`` lists, per user, the needed pieces it cannot recover.  A
+    user's cache is read off the holder masks: its uncached columns are an
+    OR of the column sets of the holder masks that lack its bit, and the
+    verdict is one echelon pass per user over the messages cut to those
+    columns, with no record of which messages a row combines.  A needed
+    piece is recoverable iff its unit vector reduces to zero there.
+
+    The certificates, the exact combination of cached pieces and messages
+    that reconstructs each recoverable piece, are solved only when the
+    report's ``certificates`` is first read (see :class:`DecodeReport`).
+    Raises :class:`ValidationError` for a malformed schedule: a summand
+    outside the placement, a message mixing piece sizes, or a claimed rate
+    that is not the sum of the message sizes.
     """
     dem = normalize_demand(cache, demand)
     table = _PieceTable(cache)
@@ -285,34 +369,30 @@ def decodable(cache: CacheState, schedule: DeliverySchedule, demand) -> DecodeRe
             f"schedule claims rate {schedule.rate}, but its messages sum to {total}"
         )
     # repeated summands cancel, as they do in the broadcast
-    vectors = [reduce(xor, (1 << c for c in body)) for body in bodies]
+    vectors = [reduce(xor, map((1).__lshift__, body)) for body in bodies]
+    by_holder: dict[int, int] = {}
+    for c, mask in enumerate(table.holders):
+        by_holder[mask] = by_holder.get(mask, 0) | 1 << c
 
-    certificates: dict[int, dict[Pair, Certificate]] = {}
+    users: dict[int, tuple[list[int], int]] = {}
     missing: dict[int, tuple[Pair, ...]] = {}
     for k, needed in table.needed(dem).items():
         bit = 1 << (k - 1)
-        uncached = sum(1 << c for c, mask in enumerate(table.holders) if not mask & bit)
-        basis = GF2Basis()
-        for i, vec in enumerate(vectors):
-            basis.add(vec & uncached, tag=i)
-
-        user_certs: dict[Pair, Certificate] = {}
-        user_missing: list[Pair] = []
-        for column in needed:
-            combo = basis.solve(1 << column)
-            if combo is None:
-                user_missing.append(table.pairs[column])
-                continue
-            used = _set_bits(combo)
-            rest = 1 << column
-            for i in used:
-                rest ^= vectors[i]
-            entries = tuple(table.pairs[c] for c in _set_bits(rest))
-            user_certs[table.pairs[column]] = Certificate(entries, tuple(used))
-        certificates[k] = user_certs
-        if user_missing:
-            missing[k] = tuple(user_missing)
-    return DecodeReport(ok=not missing, certificates=certificates, missing=missing)
+        uncached = 0
+        for mask, columns in by_holder.items():
+            if not mask & bit:
+                uncached |= columns
+        users[k] = (needed, uncached)
+        if not needed:
+            continue
+        rows: dict[int, int] = {}
+        for vec in vectors:
+            if vec := _residual(rows, vec & uncached):
+                rows[vec.bit_length() - 1] = vec
+        lacking = [table.pairs[c] for c in needed if _residual(rows, 1 << c)]
+        if lacking:
+            missing[k] = tuple(lacking)
+    return DecodeReport(not missing, missing, table.pairs, vectors, users)
 
 
 # ---------------------------------------------------------------------------

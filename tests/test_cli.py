@@ -359,6 +359,43 @@ def test_rates_repeated_strategy_exits_2(toy_path, tmp_path, capsys, mode, strat
     assert captured.out == "" and not out.exists()
 
 
+def test_rates_p_grid_has_no_bound_column(toy_path, tmp_path, capsys):
+    out = tmp_path / "rates.csv"
+    argv = ["rates", str(toy_path), "--p-grid", "0.5:1:0.25", "--strategies", "alpha,bound"]
+    assert main(argv + ["--csv", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--p-grid has no bound curve" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_rates_m_sweep_bound_column_at_four_users(tmp_path, capsys):
+    # the chain bound's envelope over the beta placements: alpha less the
+    # bound is 11/512 at M = 1, a vertex of both envelopes
+    cfg = {
+        "K": 4,
+        "strategy": "beta",
+        "groups": [{"size": 1, "r": 1}, {"size": 1, "r": 1}],
+        "popularity": ["3/4", "1/4"],
+    }
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["rates", str(path), "--m-sweep", "--strategies", "alpha,bound"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "M,R_alpha,R_bound"
+    at_one = {float(m): (float(a), float(b)) for m, a, b in (r.split(",") for r in rows)}[1.0]
+    assert at_one[0] - at_one[1] == pytest.approx(11 / 512, abs=1e-11)
+
+
+def test_rates_m_sweep_bound_is_below_beta(toy_path, capsys):
+    assert main(["rates", str(toy_path), "--m-sweep", "--strategies", "beta,bound"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "M,R_beta,R_bound"
+    assert len(rows) > 2
+    for row in rows:
+        _, beta, bound = map(float, row.split(","))
+        assert bound <= beta, row
+
+
 @pytest.mark.parametrize("strategies", ["beta", "alpha", "beta,alpha"])
 def test_rates_p_grid_columns_follow_the_strategies_asked(toy_path, capsys, strategies):
     closed = {"alpha": rate_alpha_closed, "beta": rate_beta_closed}

@@ -5,6 +5,8 @@ import pickle
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
+from operator import xor
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +16,7 @@ from codedcache import (
     SCHEDULERS,
     BudgetExceededError,
     CacheState,
+    Certificate,
     DeliveryMessage,
     DeliverySchedule,
     UnsupportedConfigError,
@@ -254,6 +257,102 @@ def test_needed_map_and_user_cache_follow_the_masks_of_each_state(case):
                 for idx, m in zip(cache.indices(f), cache.masks[f - 1])
                 if m & 1 << (k - 1)
             }
+
+
+def eager_certificates(cache, schedule, demand):
+    """Every certificate as the eager check built them, in its order: per
+    user, one tagged basis of the messages cut to the user's uncached
+    columns, and a solve of each needed column in ascending order."""
+    table = _PieceTable(cache)
+    vectors = [reduce(xor, (1 << c for c in table.body(m))) for m in schedule.messages]
+    out = {}
+    for k, needed in table.needed(normalize_demand(cache, demand)).items():
+        bit = 1 << (k - 1)
+        uncached = sum(1 << c for c, mask in enumerate(table.holders) if not mask & bit)
+        basis = GF2Basis()
+        for i, vec in enumerate(vectors):
+            basis.add(vec & uncached, tag=i)
+        certs = {}
+        for column in needed:
+            combo = basis.solve(1 << column)
+            if combo is None:
+                continue
+            used = [i for i in range(len(vectors)) if combo >> i & 1]
+            rest = 1 << column
+            for i in used:
+                rest ^= vectors[i]
+            entries = tuple(pair for c, pair in enumerate(table.pairs) if rest >> c & 1)
+            certs[table.pairs[column]] = Certificate(entries, tuple(used))
+        out[k] = certs
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(_mask_states(), st.randoms(use_true_random=False))
+def test_decodable_verdict_and_certificates_agree_with_the_oracles(case, rng):
+    # greedy's messages on arbitrary masks plus a few random XORs of
+    # equal-size pieces, of which a random subset of at most 10 is sent,
+    # so that users fail and certificates combine several messages
+    demand, *states = case
+    for cache in states:
+        by_size = {}
+        for f in range(1, cache.num_files + 1):
+            by_size.setdefault(cache.subpacketization(f), []).extend(cache.pairs(f))
+        messages = list(greedy_schedule(cache, demand).messages)
+        for _ in range(rng.randint(0, 3)):
+            pool = rng.choice(list(by_size.values()))
+            messages.append(DeliveryMessage.build(rng.sample(pool, min(len(pool), rng.randint(1, 3)))))
+        sent = rng.sample(messages, rng.randint(max(0, len(messages) - 2), len(messages)))
+        schedule = make_schedule(cache, sent[:10])
+        report = decodable(cache, schedule, demand)
+
+        # subset enumeration: a needed piece is recoverable iff some set of
+        # messages sums to it on the pieces the user does not cache
+        needed = needed_map(cache, demand)
+        expected = {}
+        for k in range(1, cache.users + 1):
+            cached = cache.user_cache(k)
+            reachable = {frozenset()}
+            for message in schedule.messages:
+                cut = frozenset(message.summands) - cached
+                reachable |= {r ^ cut for r in reachable}
+            lacking = tuple(p for p in sorted(needed[k]) if frozenset([p]) not in reachable)
+            if lacking:
+                expected[k] = lacking
+        assert list(report.missing.items()) == list(expected.items())
+        assert report.ok is (not expected) and bool(report) is report.ok
+
+        certificates = report.certificates
+        assert certificates is report.certificates
+        eager = eager_certificates(cache, schedule, demand)
+        assert [(k, list(c.items())) for k, c in certificates.items()] == [
+            (k, list(c.items())) for k, c in eager.items()
+        ]
+        for k, certs in certificates.items():
+            assert set(certs) == needed[k] - set(expected.get(k, ()))
+
+
+@pytest.mark.parametrize(
+    "summand, says",
+    [
+        (lambda idx: (1.0, idx), "file must be an integer, got 1.0"),
+        (lambda idx: (True, idx), "file must be an integer, got True"),
+        (lambda idx: (0, idx), r"file 0 outside \[1, 2\]"),
+        (lambda idx: (3, idx), r"file 3 outside \[1, 2\]"),
+        (lambda idx: (1, tuple(idx)), "is not a SubfileIndex"),
+    ],
+    ids=["float", "bool", "file-0", "file-N+1", "plain-tuple"],
+)
+def test_a_summand_that_names_no_piece_by_its_types_is_rejected(summand, says):
+    # DeliveryMessage.build checks the file, but a message made directly
+    # reaches the placement's lookup, where 1.0 and True hash and compare
+    # as file 1 and a plain tuple as the SubfileIndex of its masks
+    cache = toy_cache()
+    message = DeliveryMessage((summand(cache.indices(1)[0]),))
+    with pytest.raises(ValidationError, match=says):
+        make_schedule(cache, [message])
+    with pytest.raises(ValidationError, match=says):
+        decodable(cache, DeliverySchedule((message,), Fraction(1, 6)), (1, 1, 2))
 
 
 def test_decodable_rejects_a_rate_other_than_the_message_sum():
