@@ -18,6 +18,7 @@ The JSON layouts have one owner each: ``placement.cache_json_text`` for
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -262,10 +263,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The :func:`build_parser` parser, built once per process; parsing
+    leaves it unchanged, so every call of :func:`main` shares it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:

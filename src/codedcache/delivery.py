@@ -411,11 +411,7 @@ def _chain_dp(cache: CacheState, dem: Mapping[int, int], weights: Mapping[int, o
     piece counts by holder mask, so a term is the sum of the tallies whose
     mask misses the set.
     """
-    tallies: dict[int, dict[int, int]] = {}
-    for f in set(dem.values()):
-        tally = tallies[f] = {}
-        for mask in cache.masks[f - 1]:
-            tally[mask] = tally.get(mask, 0) + 1
+    tallies = {f: Counter(cache.masks[f - 1]) for f in set(dem.values())}
     best = 0
     layer = {0: (0, 0)}  # user set -> (best sum, its files as a bit set)
     while layer:
@@ -521,9 +517,7 @@ def toy_schedule(demand, cache: CacheState | None = None) -> DeliverySchedule:
     vec = tuple(dem[k] for k in (1, 2, 3))
     order = sorted(range(3), key=lambda j: (vec[j], j))
     canonical = tuple(vec[j] for j in order)
-    perm = [0, 0, 0]
-    for canon_user, j in enumerate(order, start=1):
-        perm[canon_user - 1] = j + 1
+    perm = [j + 1 for j in order]
     return make_schedule(
         reference,
         (DeliveryMessage.build(pairs).permuted(perm) for pairs in _TOY_TABLE[canonical]),
@@ -710,19 +704,13 @@ def _regular_pass(table: _PieceTable, dem: Mapping[int, int]) -> list[tuple[int,
     for file in sorted(set(dem.values())):
         requesters = sorted(k for k, f in dem.items() if f == file)
         columns = table.columns(file)
-        degrees = {holders[c].bit_count() for c in columns}
-        regular = False
-        if len(degrees) == 1:
-            t = degrees.pop()
-            if t == users:
-                continue  # fully cached everywhere, nothing to send
-            classes: dict[int, list[int]] = {}
-            for c in columns:
-                classes.setdefault(holders[c], []).append(c)
-            sizes = {len(v) for v in classes.values()}
-            regular = len(classes) == comb(users, t) and len(sizes) == 1
-        if regular:
-            slice_count = len(next(iter(classes.values())))
+        classes: dict[int, list[int]] = {}
+        for c in columns:
+            classes.setdefault(holders[c], []).append(c)
+        # regular: every t-subset of the users holds the same number of pieces
+        shapes = {(mask.bit_count(), len(v)) for mask, v in classes.items()}
+        t, slice_count = min(shapes)
+        if len(shapes) == 1 and len(classes) == comb(users, t):
             leader = requesters[0]
             for team in itertools.combinations(range(1, users + 1), t + 1):
                 if leader not in team:

@@ -92,21 +92,12 @@ def _multiset_expectation(popularity: Sequence[Number], multisets, rate: Callabl
     return total
 
 
-def _schedule_rate(scheduler: Callable) -> Callable:
-    """The rate function of a scheduler, or of a rate function such as
-    ``exhaustive_rate`` or ``chain_bound``: a returned ``Fraction`` is the
-    rate, anything else is a schedule and gives its ``.rate``."""
-
-    def rate(cache, rep) -> Fraction:
-        out = scheduler(cache, rep)
-        return out if isinstance(out, Fraction) else out.rate
-
-    return rate
-
-
 def _memo_rate(cache, rate_of: Callable, memo: dict) -> Callable:
-    """``rate_of(cache, rep)`` on a sorted representative of `cache`'s
-    demands, looked up in, and added to, `memo`.
+    """The rate of ``rate_of(cache, rep)`` on a sorted representative of
+    `cache`'s demands, looked up in, and added to, `memo`.  `rate_of` is a
+    scheduler or a rate function such as ``exhaustive_rate`` or
+    ``chain_bound``: a returned ``Fraction`` is the rate, anything else is
+    a schedule and gives its ``.rate``.
 
     A representative's key is, in user order, each user's requested file
     as its holder-mask row and its position among the distinct requested
@@ -124,7 +115,8 @@ def _memo_rate(cache, rate_of: Callable, memo: dict) -> Callable:
         position = {f: j for j, f in enumerate(sorted(set(rep)))}
         key = tuple((cache.masks[f - 1], position[f]) for f in rep)
         if key not in memo:
-            memo[key] = rate_of(cache, rep)
+            out = rate_of(cache, rep)
+            memo[key] = out if isinstance(out, Fraction) else out.rate
         return memo[key]
 
     return rate
@@ -140,7 +132,7 @@ def _scheduled_expectation(cfg: PlacementConfig, rate_of: Callable, memo: dict):
 
 def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
     """Exact expected rate of `scheduler`, a scheduler or a rate function
-    (see :func:`_schedule_rate`), on the placement of `cfg`.
+    (see :func:`_memo_rate`), on the placement of `cfg`.
 
     Demand vectors are grouped by multiset, and each multiset is rated at
     its sorted representative.  So the result is the expected rate of
@@ -156,7 +148,7 @@ def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
     :class:`LimitExceededError`, before anything is placed, when the
     ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``.
     """
-    return _scheduled_expectation(cfg, _schedule_rate(scheduler), {})
+    return _scheduled_expectation(cfg, scheduler, {})
 
 
 @dataclass(frozen=True)
@@ -175,7 +167,7 @@ def expected_rate_mc(
 
     Deterministic for a fixed seed: ``random.Random(seed)`` draws every
     user's request.  `scheduler` is a scheduler or a rate function (see
-    :func:`_schedule_rate`).  Each draw is sorted and rated through the memoised
+    :func:`_memo_rate`).  Each draw is sorted and rated through the memoised
     rate that :func:`_scheduled_expectation` uses, so every distinct
     sub-problem is scheduled once; as for :func:`expected_rate_exact`, this estimates
     the expected rate of scheduling each sorted demand, which differs from
@@ -187,7 +179,7 @@ def expected_rate_mc(
     weights = [float(p) for p in cfg.popularity]
     draws = random.Random(seed).choices(range(1, cfg.num_files + 1), weights, k=samples * k)
     counts = Counter(tuple(sorted(draws[i : i + k])) for i in range(0, len(draws), k))
-    rate = _memo_rate(place(cfg), _schedule_rate(scheduler), {})
+    rate = _memo_rate(place(cfg), scheduler, {})
     rates = {rep: float(rate(rep)) for rep in counts}
     mean = sum(c * rates[rep] for rep, c in counts.items()) / samples
     if samples > 1:
@@ -448,13 +440,14 @@ def _level_rates(users: int, group_pop: tuple, rest) -> tuple:
     """Expected :func:`classic_rate` of one group at every cache level
     ``t = 0..users``, over the law of its distinct requested files.
 
-    `rest` is the popularity outside the group.  ``typed=True`` keys the
-    cache on its type, so a float group never reuses an exact result.
+    `rest` is the popularity outside the group.  Only the counts of
+    nonzero probability are rated, at most ``len(group_pop) + 1`` of the
+    ``users + 1``.  ``typed=True`` keys the cache on its type, so a float
+    group never reuses an exact result.
     """
-    law = _distinct_law(users, group_pop, rest)
+    law = [(d, w) for d, w in enumerate(_distinct_law(users, group_pop, rest)) if w]
     return tuple(
-        sum(law[d] * classic_rate(users, t, d) for d in range(users + 1))
-        for t in range(users + 1)
+        sum(w * classic_rate(users, t, d) for d, w in law) for t in range(users + 1)
     )
 
 
@@ -494,7 +487,7 @@ def alpha_expected_rate(
     (:func:`_distinct_law`): no demand is enumerated, ``N**K`` is not
     bounded, and each group's level rates are cached across calls.  With
     `scheduler` set, a scheduler or a rate function (e.g. the exhaustive
-    solver or its rate, see :func:`_schedule_rate`), ``R_g(t)`` is
+    solver or its rate, see :func:`_memo_rate`), ``R_g(t)`` is
     :func:`expected_rate_exact` of the group's own ``alpha`` config: its
     files at ``r = t`` and, when the files outside it have popularity
     ``rest > 0``, one more file of popularity `rest` at ``r = K``.  Every
@@ -524,7 +517,7 @@ def alpha_expected_rate(
                     cfg = make_config(users, [size, 1], [t, users], group_pop + (rest,), "alpha")
                 else:
                     cfg = make_config(users, [size], [t], group_pop, "alpha")
-                total += w * _scheduled_expectation(cfg, _schedule_rate(scheduler), memo)
+                total += w * _scheduled_expectation(cfg, scheduler, memo)
     return total
 
 
@@ -536,7 +529,7 @@ def beta_points(
 ) -> tuple[RatePoint, ...]:
     """Achievable points of the cross-group strategy for one grouping:
     every valid non-increasing replication vector, rated by `scheduler`, a
-    scheduler or rate function (see :func:`_schedule_rate`); by default the
+    scheduler or rate function (see :func:`_memo_rate`); by default the
     exhaustive scheduler's rate, :func:`exhaustive_rate`.
 
     Each point is :func:`expected_rate_exact` of its placement, but the
@@ -546,10 +539,9 @@ def beta_points(
     stated at :func:`_memo_rate`."""
     out = []
     memo: dict = {}
-    rate_of = _schedule_rate(scheduler)
     for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes)):
         cfg = make_config(users, sizes, list(r), popularity, strategy="beta")
-        rate = _scheduled_expectation(cfg, rate_of, memo)
+        rate = _scheduled_expectation(cfg, scheduler, memo)
         out.append(RatePoint(cfg.memory, rate, label=f"beta r={r}", params=r))
     return tuple(out)
 

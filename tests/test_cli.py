@@ -10,7 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from codedcache import ValidationError, cache_from_json, delivery, place_beta, toy_config
+from codedcache import (
+    DeliverySchedule,
+    ValidationError,
+    cache_from_json,
+    delivery,
+    place_beta,
+    toy_config,
+)
 from codedcache.cli import _parse_grid, main
 from codedcache.rates import rate_alpha_closed, rate_beta_closed
 
@@ -75,11 +82,18 @@ def test_place_malformed_json_exits_2(tmp_path, capsys):
         ({"popularity": ["1e4300", "0"]}, "entries must be in [0, 1]"),
         ({"popularity": ["1e400", 0.5]}, "entries must be in [0, 1]"),
         ({"popularity": ["1e-4300", "1"]}, "must sum to 1"),
+        ({"strategy": "gamma"}, "unknown strategy 'gamma'"),
+        ({"groups": []}, "at least one group is required"),
+        (
+            {"strategy": "alpha", "groups": [{"size": 1, "r": 4}, {"size": 1, "r": 1}]},
+            "group replication 4 outside [0, 3]",
+        ),
     ],
     ids=[
         "K-str", "K-float", "K-bool", "size-float", "r-str",
         "pop-word", "pop-div0", "pop-nan", "pop-bool",
         "pop-huge", "pop-huge-float", "pop-long-sum",
+        "strategy-unknown", "groups-empty", "alpha-r-beyond-K",
     ],
 )
 def test_place_malformed_config_field_exits_2(tmp_path, capsys, change, says):
@@ -238,11 +252,37 @@ def test_deliver_all_demands_verified(toy_path, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "demand, says", [("A,A", "2 entries for 3 users"), ("1,1,2,1", "4 entries"), ("0,1,1", "outside")]
+    "demand, says",
+    [
+        ("A,A", "2 entries for 3 users"),
+        ("1,1,2,1", "4 entries"),
+        ("0,1,1", "outside"),
+        ("A,?,B", "demand entry '?' is not a file"),
+    ],
 )
 def test_deliver_demand_count_and_range_exit_2(toy_path, capsys, demand, says):
     assert main(["deliver", str(toy_path), "--demand", demand]) == 2
     assert says in capsys.readouterr().err
+
+
+def test_deliver_verify_failure_exits_3(toy_path, tmp_path, capsys, monkeypatch):
+    # a scheduler that sends nothing to any demand for file 2 fails there
+    greedy = delivery.SCHEDULERS["greedy"]
+
+    def broken(cache, demand):
+        return DeliverySchedule((), Fraction(0)) if 2 in demand else greedy(cache, demand)
+
+    monkeypatch.setitem(delivery.SCHEDULERS, "greedy", broken)
+    out = tmp_path / "all.json"
+    assert main(["deliver", str(toy_path), "--all-demands", "--verify", "--out", str(out)]) == 3
+    demands = list(itertools.product((1, 2), repeat=3))
+    failing = [d for d in demands if 2 in d]
+    assert len(failing) == 7
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"verification FAILED for demand {d}" for d in failing]
+    schedules = json.loads(out.read_text())["schedules"]
+    assert [tuple(s["demand"]) for s in schedules] == demands
+    assert [s["verified"] for s in schedules] == [d not in failing for d in demands]
 
 
 def test_deliver_all_demands_of_one_file_keeps_the_list(tmp_path):
@@ -319,6 +359,8 @@ def test_rates_p_grid_single_point(toy_path, capsys):
         ("0.5:inf:0.1", 2, "error:"),
         ("0.5:1:abc", 2, "error:"),
         ("0.5:1:1e-9", 4, "resource limit:"),
+        ("1:2", 2, "error: grid must be start:stop:step"),
+        ("1:0.5:0.1", 2, "error: bad grid"),
     ],
 )
 def test_rates_p_grid_exit_codes(toy_path, capsys, grid, code, stderr):

@@ -144,6 +144,16 @@ def test_rank_rejects_foreign_index():
         index_rank(SubfileIndex.from_sets([(1, 2)]), 3, (2, 1))
     with pytest.raises(ValidationError):
         index_rank(SubfileIndex.from_sets([(1, 2), (3,)]), 3, (2, 1))  # not nested
+    with pytest.raises(ValidationError, match="level 1 contains users beyond 3"):
+        index_rank(SubfileIndex.from_sets([(1, 4), (1,)]), 3, (2, 1))
+    with pytest.raises(ValidationError, match="level 1 has 1 users, expected 2"):
+        index_rank(SubfileIndex.from_sets([(1,), (1,)]), 3, (2, 1))
+
+
+def test_index_unrank_rejects_a_rank_out_of_range():
+    for rank in (-1, 6):
+        with pytest.raises(ValidationError, match=rf"rank {rank} outside \[0, 6\)"):
+            index_unrank(rank, 3, (2, 1))
 
 
 def test_index_unrank_rejects_a_rank_that_is_no_int():

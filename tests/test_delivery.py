@@ -680,7 +680,13 @@ def test_exhaustive_matches_shared_level_rates():
 
 def test_exhaustive_budget_exhaustion(monkeypatch):
     cache = toy_cache()
-    budgets = [("_MAX_MESSAGES", 3), ("_MAX_NODES", 2), ("_MAX_MESSAGES", 0), ("_MAX_NODES", 0)]
+    budgets = [
+        ("_MAX_MESSAGES", 3),
+        ("_MAX_NODES", 2),
+        ("_MAX_MESSAGES", 0),
+        ("_MAX_NODES", 0),
+        ("_CANDIDATE_CAP", 0),
+    ]
     for budget, value in budgets:
         with monkeypatch.context() as patch:
             patch.setattr(delivery, budget, value)
@@ -1037,6 +1043,8 @@ def test_schedule_json_rejects_garbage():
     for rate in ("abc", "1/0", True, False, 0.1, 1.0):
         with pytest.raises(ValidationError, match="malformed schedule"):
             schedule_from_json({"messages": [], "rate": rate})
+    with pytest.raises(ValidationError, match="rate cannot be negative"):
+        schedule_from_json({"messages": [], "rate": "-1/2"})
     assert schedule_from_json({"messages": [], "rate": 0}).rate == 0
 
 

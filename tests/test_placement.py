@@ -147,6 +147,19 @@ def test_placement_rule_is_group_membership():
                 assert ((file, idx) in cache.user_cache(k)) == idx.holds(level, k)
 
 
+def test_config_and_cache_lookups_reject_out_of_range():
+    cfg = make_config(3, [1, 1], [2, 1])
+    for call, says in [
+        (lambda: cfg.group_of(0), r"file 0 outside \[1, 2\]"),
+        (lambda: cfg.group_of(3), r"file 3 outside \[1, 2\]"),
+        (lambda: cfg.files_in(0), r"group 0 outside \[1, 2\]"),
+        (lambda: cfg.files_in(3), r"group 3 outside \[1, 2\]"),
+        (lambda: place_beta(cfg).cached_count(0, 1), r"user 0 outside \[1, 3\]"),
+    ]:
+        with pytest.raises(ValidationError, match=says):
+            call()
+
+
 # ---------------------------------------------------------------------------
 # grouping baseline placement
 # ---------------------------------------------------------------------------
@@ -210,12 +223,17 @@ def test_a_number_with_a_huge_exponent_is_rejected_before_it_is_built():
         with pytest.raises(ValidationError, match="too long a number"):
             _parse_number(text, "popularity entry")
     assert _parse_number("1e-300", "popularity entry") == Fraction(1, 10**300)
+    # an exponent that is no int is left to Fraction, which rejects it
+    with pytest.raises(ValidationError, match="'1e1.5' is not a number"):
+        _parse_number("1e1.5", "popularity entry")
     assert _parse_number("1e4300", "popularity entry") == 10**4300
 
 
 def test_popularity_length_must_match_files():
     with pytest.raises(ValidationError):
         make_config(3, [1, 1], [2, 1], [Fraction(1)])
+    with pytest.raises(ValidationError, match="sizes and r must have the same length"):
+        make_config(3, [1, 1], [2])
 
 
 def test_config_json_round_trip():

@@ -125,6 +125,11 @@ def test_mc_degenerate_distribution_has_zero_stderr():
     assert est.stderr == 0.0
 
 
+def test_mc_single_sample_has_zero_stderr():
+    est = expected_rate_mc(toy_config(0.7), TOY, samples=1, seed=1)
+    assert est.samples == 1 and est.stderr == 0.0
+
+
 def test_mc_close_to_closed_form():
     est = expected_rate_mc(toy_config(0.765), TOY, samples=1_000_000, seed=42)
     closed = rate_beta_closed(0.765)
@@ -337,6 +342,9 @@ def test_classic_rate_kernel_values():
     assert classic_rate(3, 1, 3) == 1
     with pytest.raises(ValidationError):
         classic_rate(3, 1, 4)  # more distinct files than users
+    for t in (-1, 4):
+        with pytest.raises(ValidationError, match=rf"cache level {t} outside \[0, 3\]"):
+            classic_rate(3, t, 1)
 
 
 @pytest.mark.parametrize(
@@ -510,6 +518,28 @@ def test_alpha_expectation_float_popularity(case):
     assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_level_rates_equal_the_sum_over_every_distinct_count(exact):
+    # the kernel skips the distinct-file counts of probability 0; the full
+    # sum over d = 0..K gives the same values, of the same types
+    rng = random.Random(5)
+    for users in (1, 2, 5, 13, 30):
+        for size in (1, 2, 3):
+            for weights in ([rng.randint(1, 9) for _ in range(size + 1)], [1] * size + [0]):
+                pop = [Fraction(w, sum(weights)) for w in weights]
+                if not exact:
+                    pop = [float(p) for p in pop]
+                group_pop, rest = tuple(pop[:-1]), pop[-1]
+                law = rates._distinct_law(users, group_pop, rest)
+                full = tuple(
+                    sum(law[d] * classic_rate(users, t, d) for d in range(users + 1))
+                    for t in range(users + 1)
+                )
+                got = rates._level_rates(users, group_pop, rest)
+                assert got == full
+                assert list(map(type, got)) == list(map(type, full))
+
+
 def test_alpha_closed_kernel_has_no_demand_limit(monkeypatch):
     # C(24, 13) = 2,496,144 demand multisets exceed ENUMERATION_LIMIT: only
     # the scheduler path enumerates them, and it refuses before placing
@@ -653,7 +683,7 @@ def test_beta_points_reuse_changes_no_exhaustive_outcome_at_four_users(monkeypat
             cfg = make_config(4, sizes, list(r), popularity, strategy="beta")
             plain = _outcome(lambda: _plain_expectation(cfg, EXHAUSTIVE))
             shared = _outcome(
-                lambda: rates._scheduled_expectation(cfg, rates._schedule_rate(EXHAUSTIVE), memo)
+                lambda: rates._scheduled_expectation(cfg, EXHAUSTIVE, memo)
             )
             assert shared == plain
     assert returned >= 3  # the one-group sweeps return
@@ -906,3 +936,6 @@ def test_write_curves_csv(tmp_path):
     assert lines[1].startswith("0.5,0.625,0.625")
     with pytest.raises(ValidationError):
         write_curves_csv(out, [])
+    shifted = RateCurve("R_x", "p", ((0.5, 0.625), (0.75, 0.5), (0.9, 0.2)))
+    with pytest.raises(ValidationError, match="same abscissa"):
+        write_curves_csv(out, [cmp.alpha, shifted])
