@@ -5,11 +5,14 @@ with ``P(d)`` the product of per-file request probabilities.  One path
 takes the expectation of a rate function, a scheduler's or the chain
 bound's: it enumerates the ``C(N+K-1, K)`` demand multisets, at most
 ``ENUMERATION_LIMIT`` of them, and rates each distinct sub-problem once,
-at a sorted representative.  Monte Carlo draws demands and rates them
-through the same memo.  The grouping baseline serves every
-group alone, so by linearity of expectation its rate is a sum over groups
-and cache levels.  Its closed kernel takes each term over the law of the
-number of distinct files of the group that are requested; with a
+at a sorted representative.  The demand law, each multiset's probability
+times its number of request vectors, depends on the popularity alone: it
+is computed once per popularity and shared by the placements of a sweep.
+Monte Carlo draws demands and rates them through the same memo.  The
+grouping baseline serves every group alone, so by linearity of
+expectation its rate is a sum over groups and cache levels.  Its closed
+kernel takes each term over the law of the number of distinct files of
+the group that are requested; with a
 scheduler, each term is the expectation of the group's own placement plus
 one fully cached file that stands for every file outside the group.
 The baseline's memory-rate envelope is built from the groups' own lower
@@ -73,23 +76,46 @@ def _demand_multisets(num_files: int, users: int):
     return itertools.combinations_with_replacement(range(1, num_files + 1), users)
 
 
-def _multiset_expectation(popularity: Sequence[Number], multisets, rate: Callable):
-    """``sum weight * P(rep) * rate(rep)`` over the :func:`_demand_multisets`
-    of ``len(popularity)`` files, with ``weight`` the number of request
-    vectors that sort to ``rep``; multisets of probability 0 are not rated.
-    Exact rational popularity gives an exact rational result."""
+def _zero(popularity: Sequence[Number]) -> Number:
+    """The additive zero of expectations under `popularity`: an exact
+    ``Fraction`` when every entry is one, else a float."""
+    return Fraction(0) if all(isinstance(p, Fraction) for p in popularity) else 0.0
+
+
+def _demand_law(popularity: Sequence[Number], multisets) -> list:
+    """The ``(rep, weight * P(rep))`` pairs of the :func:`_demand_multisets`
+    of ``len(popularity)`` files that have nonzero probability, with
+    ``weight`` the number of request vectors that sort to ``rep``.  The law
+    depends on the popularity alone, so a sweep over placements computes it
+    once.  Exact rational popularity gives exact rational coefficients."""
     exact = all(isinstance(p, Fraction) for p in popularity)
-    total = Fraction(0) if exact else 0.0
+    law = []
     for rep in multisets:
         weight = math.factorial(len(rep))
         prob = Fraction(1) if exact else 1.0
         for f, c in Counter(rep).items():
             weight //= math.factorial(c)
             prob *= popularity[f - 1] ** c
-        if prob == 0:
-            continue
-        total += weight * prob * rate(rep)
+        if prob:
+            law.append((rep, weight * prob))
+    return law
+
+
+def _law_expectation(law: list, rate: Callable, zero: Number):
+    """``sum coefficient * rate(rep)`` over a :func:`_demand_law`, added up
+    in its order (``sum`` compensates float sums from Python 3.12 on)."""
+    total = zero
+    for rep, coefficient in law:
+        total += coefficient * rate(rep)
     return total
+
+
+def _multiset_expectation(popularity: Sequence[Number], multisets, rate: Callable):
+    """``sum weight * P(rep) * rate(rep)`` over the :func:`_demand_multisets`
+    of ``len(popularity)`` files, with ``weight`` the number of request
+    vectors that sort to ``rep``; multisets of probability 0 are not rated.
+    Exact rational popularity gives an exact rational result."""
+    return _law_expectation(_demand_law(popularity, multisets), rate, _zero(popularity))
 
 
 def _memo_rate(cache, rate_of: Callable, memo: dict) -> Callable:
@@ -122,12 +148,19 @@ def _memo_rate(cache, rate_of: Callable, memo: dict) -> Callable:
     return rate
 
 
-def _scheduled_expectation(cfg: PlacementConfig, rate_of: Callable, memo: dict):
+def _scheduled_expectation(
+    cfg: PlacementConfig, rate_of: Callable, memo: dict, law: list | None = None
+):
     """The expectation of `rate_of` on the placement of `cfg`, with its
-    sub-problems' rates looked up in, and added to, `memo` (see :func:`_memo_rate`)."""
-    multisets = _demand_multisets(cfg.num_files, cfg.users)
+    sub-problems' rates looked up in, and added to, `memo` (see :func:`_memo_rate`).
+
+    `law` is the :func:`_demand_law` of ``cfg.popularity``; it is computed
+    here when not given.  A sweep over placements of one popularity
+    computes it once and passes it to every placement."""
+    if law is None:
+        law = _demand_law(cfg.popularity, _demand_multisets(cfg.num_files, cfg.users))
     rate = _memo_rate(place(cfg), rate_of, memo)
-    return _multiset_expectation(cfg.popularity, multisets, rate)
+    return _law_expectation(law, rate, _zero(cfg.popularity))
 
 
 def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
@@ -144,6 +177,10 @@ def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
     scheduler's can: at K = 5, r = (3, 2) the demand (1, 2, 1, 2, 2) costs
     9/10 and (2, 1, 2, 2, 1) costs 14/15.  Each distinct sub-problem is
     scheduled once, under the contract stated at :func:`_memo_rate`.
+    The demand law (:func:`_demand_law`) is computed once per call; the
+    sweeps, :func:`beta_points` and the scheduler path of
+    :func:`alpha_expected_rate`, compute it once per popularity and share
+    it across their placements.
     Exact rational popularity gives an exact rational result.  Raises
     :class:`LimitExceededError`, before anything is placed, when the
     ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``.
@@ -411,12 +448,14 @@ def _distinct_law(users: int, group_pop: tuple, rest) -> list:
     A dynamic program over the group's files.  ``ways[j][d]`` weighs the
     ways for j of the users to request d distinct files among the files
     seen so far; file f takes c of the other ``users - j`` users with
-    weight ``C(users - j, c) * p_f**c``.  The users left over request a
-    file outside the group, each with probability `rest`.
+    weight ``C(users - j, c) * p_f**c``, with each power taken once per
+    file.  The users left over request a file outside the group, each with
+    probability `rest`.
     """
     ways = [[0] * (users + 1) for _ in range(users + 1)]
     ways[0][0] = 1
     for p in group_pop:
+        powers = [p**c for c in range(users + 1)]
         nxt = [row[:] for row in ways]
         for j in range(users):
             free = users - j
@@ -425,7 +464,7 @@ def _distinct_law(users: int, group_pop: tuple, rest) -> list:
                 if not w:
                     continue
                 for c in range(1, free + 1):
-                    nxt[j + c][d + 1] += w * comb(free, c) * p**c
+                    nxt[j + c][d + 1] += w * comb(free, c) * powers[c]
         ways = nxt
     law = [0] * (users + 1)
     for j in range(users + 1):
@@ -492,7 +531,9 @@ def alpha_expected_rate(
     files at ``r = t`` and, when the files outside it have popularity
     ``rest > 0``, one more file of popularity `rest` at ``r = K``.  Every
     user caches that file, so a user who draws it needs nothing.  One memo
-    of sub-problem rates is shared by every group and level of the call.
+    of sub-problem rates is shared by every group and level of the call,
+    and each group's demand law (:func:`_demand_law`) is computed once
+    and shared by its levels.
     The limit is checked per group: :class:`LimitExceededError` is raised,
     before that group is placed, when its ``C(N_g + K - 1, K)`` multisets
     exceed ``ENUMERATION_LIMIT`` (N_g is the group size, plus 1 if a file
@@ -505,10 +546,10 @@ def alpha_expected_rate(
     pop = _normalize_popularity(popularity)
     if sum(sizes) != len(pop):
         raise ValidationError("group sizes must cover every file exactly once")
-    exact = all(isinstance(p, Fraction) for p in pop)
-    total = Fraction(0) if exact else 0.0
+    total = _zero(pop)
     memo: dict = {}
     for (size, group_pop, rest), share in zip(_groups(sizes, pop), shares):
+        law = None  # the group's demand law, shared by its levels
         for w, t in share:
             if scheduler is None:
                 total += w * _level_rates(users, group_pop, rest)[t]
@@ -517,7 +558,9 @@ def alpha_expected_rate(
                     cfg = make_config(users, [size, 1], [t, users], group_pop + (rest,), "alpha")
                 else:
                     cfg = make_config(users, [size], [t], group_pop, "alpha")
-                total += w * _scheduled_expectation(cfg, scheduler, memo)
+                if law is None:
+                    law = _demand_law(cfg.popularity, _demand_multisets(cfg.num_files, users))
+                total += w * _scheduled_expectation(cfg, scheduler, memo, law)
     return total
 
 
@@ -536,12 +579,22 @@ def beta_points(
     rates of the sub-problems are shared across the sweep: two vectors that
     agree on the groups a demand requests, r = (2, 2) and (2, 0) on a
     demand of group-1 files say, schedule it once, under the contract
-    stated at :func:`_memo_rate`."""
-    out = []
+    stated at :func:`_memo_rate`.  Only the placement changes along the
+    sweep, so the demand law (:func:`_demand_law`) is computed once, before
+    anything is placed, and every placement is rated against it.  Raises
+    :class:`LimitExceededError`, before anything is placed, when the
+    ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``."""
+    configs = [
+        make_config(users, sizes, list(r), popularity, strategy="beta")
+        for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes))
+    ]
+    pop = configs[0].popularity
+    law = _demand_law(pop, _demand_multisets(len(pop), users))
     memo: dict = {}
-    for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes)):
-        cfg = make_config(users, sizes, list(r), popularity, strategy="beta")
-        rate = _scheduled_expectation(cfg, scheduler, memo)
+    out = []
+    for cfg in configs:
+        rate = _scheduled_expectation(cfg, scheduler, memo, law)
+        r = cfg.r_vector
         out.append(RatePoint(cfg.memory, rate, label=f"beta r={r}", params=r))
     return tuple(out)
 
@@ -573,7 +626,7 @@ def alpha_points(users: int, popularity: Sequence) -> tuple[RatePoint, ...]:
     envelope of these points without listing them."""
     _require_int("user count", users, 1)
     pop = _normalize_popularity(popularity)
-    zero = Fraction(0) if all(isinstance(p, Fraction) for p in pop) else 0.0
+    zero = _zero(pop)
     out = []
     for comp in _compositions(len(pop)):
         count = (users + 1) ** len(comp)
@@ -618,7 +671,7 @@ def alpha_envelope(users: int, popularity: Sequence) -> Envelope:
         raise LimitExceededError(
             f"grouping sweep needs up to {bound} points, more than {_MAX_POINTS}"
         )
-    zero = Fraction(0) if all(isinstance(p, Fraction) for p in pop) else 0.0
+    zero = _zero(pop)
     out = []
     for comp in _compositions(n):
         levels = [_level_rates(users, gp, rest) for _, gp, rest in _groups(comp, pop)]
