@@ -66,7 +66,7 @@ from typing import Callable, Mapping, NoReturn, Sequence
 from .combinatorics import SubfileIndex, _require_int, _users_from_mask
 from .errors import BudgetExceededError, UnsupportedConfigError, ValidationError
 from .gf2 import GF2Basis
-from .placement import CacheState, Pair, _list_parts, _nl, place_beta, toy_config
+from .placement import CacheState, Pair, _list_parts, _nl, _parse_number, place_beta, toy_config
 
 
 @dataclass(frozen=True)
@@ -1029,7 +1029,8 @@ def schedule_from_json(data: Mapping) -> DeliverySchedule:
         if isinstance(rate, (bool, float)):
             # a bool would read as 0 or 1 and a float as its binary fraction
             raise TypeError(f"rate {rate!r} is neither a string nor an integer")
-        rate = Fraction(rate)
+        # guarded against a huge decimal exponent, which Fraction would build
+        rate = _parse_number(rate, "rate")
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"malformed schedule: {exc}") from exc
     return DeliverySchedule(messages, rate)

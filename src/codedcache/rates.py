@@ -1,31 +1,31 @@
 """Expected delivery rates, closed-form curves, and the memory-rate region.
 
 Expectations are taken over i.i.d. user requests: ``R = sum_d P(d) R(d)``
-with ``P(d)`` the product of per-file request probabilities.  One path
-takes the expectation of a rate function, a scheduler's or the chain
-bound's: it enumerates the ``C(N+K-1, K)`` demand multisets, at most
-``ENUMERATION_LIMIT`` of them, and rates each distinct sub-problem once,
-at a sorted representative.  The demand law, each multiset's probability
-times its number of request vectors, depends on the popularity alone: it
-is computed once per popularity and shared by the placements of a sweep.
-Monte Carlo draws demands and rates them through the same memo.  The
-grouping baseline serves every group alone, so by linearity of
-expectation its rate is a sum over groups and cache levels.  Its closed
-kernel takes each term over the law of the number of distinct files of
-the group that are requested; with a
+with ``P(d)`` the product of per-file request probabilities.  The
+expectation of a rate function, a scheduler's or the chain bound's, is a
+sum over one demand law: the ``C(N+K-1, K)`` demand multisets, at most
+``ENUMERATION_LIMIT`` of them, each weighed by its probability times its
+number of request vectors.  The law depends on the popularity alone, so a
+sweep builds it once, and each distinct sub-problem of its placements is
+rated once, at a sorted representative.  Monte Carlo draws demands and
+rates them through the same memo.  The grouping baseline serves every
+group alone, so by linearity of expectation its rate is a sum over groups
+and cache levels.  Its closed kernel takes each term over the law of the
+number of distinct files of the group that are requested; with a
 scheduler, each term is the expectation of the group's own placement plus
-one fully cached file that stands for every file outside the group.
-The baseline's memory-rate envelope is built from the groups' own lower
+one fully cached file that stands for every file outside the group.  The
+baseline's memory-rate envelope is built from the groups' own lower
 hulls, since a grouping's points are the Minkowski sum of its groups'
-points; no sweep lists every (M, R) point.  When the popularity is given
-as exact rationals every expectation here is an exact ``Fraction``;
-floats appear only for float popularities and plotting grids.  No
-numerical solver is used: the K = 3 comparison's crossings are
-closed-form roots.
+points; no sweep lists every (M, R) point.  An envelope is read at a
+cache size by bisection on its vertices.  When the popularity is given as
+exact rationals every expectation here is an exact ``Fraction``; floats
+appear only for float popularities and plotting grids.  No numerical
+solver is used: the K = 3 comparison's crossings are closed-form roots.
 """
 
 from __future__ import annotations
 
+import bisect
 import csv
 import heapq
 import itertools
@@ -63,35 +63,30 @@ _MAX_POINTS = 20_000
 # ---------------------------------------------------------------------------
 
 
-def _demand_multisets(num_files: int, users: int):
-    """The demand multisets, each as its sorted representative.  Raises
-    :class:`LimitExceededError` when called, not when iterated, if the
-    ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``."""
-    count = comb(num_files + users - 1, users)
-    if count > ENUMERATION_LIMIT:
-        raise LimitExceededError(
-            f"{count} demand multisets exceed the limit {ENUMERATION_LIMIT}; "
-            "use expected_rate_mc instead"
-        )
-    return itertools.combinations_with_replacement(range(1, num_files + 1), users)
-
-
 def _zero(popularity: Sequence[Number]) -> Number:
     """The additive zero of expectations under `popularity`: an exact
     ``Fraction`` when every entry is one, else a float."""
     return Fraction(0) if all(isinstance(p, Fraction) for p in popularity) else 0.0
 
 
-def _demand_law(popularity: Sequence[Number], multisets) -> list:
-    """The ``(rep, weight * P(rep))`` pairs of the :func:`_demand_multisets`
-    of ``len(popularity)`` files that have nonzero probability, with
-    ``weight`` the number of request vectors that sort to ``rep``.  The law
-    depends on the popularity alone, so a sweep over placements computes it
-    once.  Exact rational popularity gives exact rational coefficients."""
+def _demand_law(popularity: Sequence[Number], users: int) -> list:
+    """The ``(rep, weight * P(rep))`` pairs, in multiset order, of the
+    demands of `users` users over ``len(popularity)`` files that have
+    nonzero probability: ``rep`` a sorted representative and ``weight`` the
+    number of request vectors that sort to it.  Exact rational popularity
+    gives exact rational coefficients.  Raises :class:`LimitExceededError`
+    when the ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``."""
+    files = len(popularity)
+    count = comb(files + users - 1, users)
+    if count > ENUMERATION_LIMIT:
+        raise LimitExceededError(
+            f"{count} demand multisets exceed the limit {ENUMERATION_LIMIT}; "
+            "use expected_rate_mc instead"
+        )
     exact = all(isinstance(p, Fraction) for p in popularity)
     law = []
-    for rep in multisets:
-        weight = math.factorial(len(rep))
+    for rep in itertools.combinations_with_replacement(range(1, files + 1), users):
+        weight = math.factorial(users)
         prob = Fraction(1) if exact else 1.0
         for f, c in Counter(rep).items():
             weight //= math.factorial(c)
@@ -101,29 +96,13 @@ def _demand_law(popularity: Sequence[Number], multisets) -> list:
     return law
 
 
-def _law_expectation(law: list, rate: Callable, zero: Number):
-    """``sum coefficient * rate(rep)`` over a :func:`_demand_law`, added up
-    in its order (``sum`` compensates float sums from Python 3.12 on)."""
-    total = zero
-    for rep, coefficient in law:
-        total += coefficient * rate(rep)
-    return total
-
-
-def _multiset_expectation(popularity: Sequence[Number], multisets, rate: Callable):
-    """``sum weight * P(rep) * rate(rep)`` over the :func:`_demand_multisets`
-    of ``len(popularity)`` files, with ``weight`` the number of request
-    vectors that sort to ``rep``; multisets of probability 0 are not rated.
-    Exact rational popularity gives an exact rational result."""
-    return _law_expectation(_demand_law(popularity, multisets), rate, _zero(popularity))
-
-
 def _memo_rate(cache, rate_of: Callable, memo: dict) -> Callable:
     """The rate of ``rate_of(cache, rep)`` on a sorted representative of
-    `cache`'s demands, looked up in, and added to, `memo`.  `rate_of` is a
-    scheduler or a rate function such as ``exhaustive_rate`` or
-    ``chain_bound``: a returned ``Fraction`` is the rate, anything else is
-    a schedule and gives its ``.rate``.
+    `cache`'s demands, looked up in, and added to, `memo`: the one rate
+    reader of :func:`_scheduled_expectation` and :func:`expected_rate_mc`.
+    `rate_of` is a scheduler or a rate function such as ``exhaustive_rate``
+    or ``chain_bound``: a returned ``Fraction`` is the rate, anything else
+    is a schedule and gives its ``.rate``.
 
     A representative's key is, in user order, each user's requested file
     as its holder-mask row and its position among the distinct requested
@@ -148,19 +127,16 @@ def _memo_rate(cache, rate_of: Callable, memo: dict) -> Callable:
     return rate
 
 
-def _scheduled_expectation(
-    cfg: PlacementConfig, rate_of: Callable, memo: dict, law: list | None = None
-):
-    """The expectation of `rate_of` on the placement of `cfg`, with its
-    sub-problems' rates looked up in, and added to, `memo` (see :func:`_memo_rate`).
-
-    `law` is the :func:`_demand_law` of ``cfg.popularity``; it is computed
-    here when not given.  A sweep over placements of one popularity
-    computes it once and passes it to every placement."""
-    if law is None:
-        law = _demand_law(cfg.popularity, _demand_multisets(cfg.num_files, cfg.users))
+def _scheduled_expectation(cfg: PlacementConfig, rate_of: Callable, memo: dict, law: list):
+    """The expectation of `rate_of` on the placement of `cfg` over `law`,
+    the :func:`_demand_law` of ``cfg.popularity``, with sub-problem rates
+    shared through `memo` (see :func:`_memo_rate`).  The terms are added in
+    law order by a loop: ``sum`` compensates float sums from Python 3.12 on."""
     rate = _memo_rate(place(cfg), rate_of, memo)
-    return _law_expectation(law, rate, _zero(cfg.popularity))
+    total = _zero(cfg.popularity)
+    for rep, coefficient in law:
+        total += coefficient * rate(rep)
+    return total
 
 
 def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
@@ -177,15 +153,16 @@ def expected_rate_exact(cfg: PlacementConfig, scheduler: Scheduler):
     scheduler's can: at K = 5, r = (3, 2) the demand (1, 2, 1, 2, 2) costs
     9/10 and (2, 1, 2, 2, 1) costs 14/15.  Each distinct sub-problem is
     scheduled once, under the contract stated at :func:`_memo_rate`.
-    The demand law (:func:`_demand_law`) is computed once per call; the
-    sweeps, :func:`beta_points` and the scheduler path of
-    :func:`alpha_expected_rate`, compute it once per popularity and share
-    it across their placements.
+    The call builds its own demand law (:func:`_demand_law`); the sweeps,
+    :func:`beta_points` and the scheduler path of
+    :func:`alpha_expected_rate`, build one per popularity and share it
+    across their placements.
     Exact rational popularity gives an exact rational result.  Raises
     :class:`LimitExceededError`, before anything is placed, when the
     ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``.
     """
-    return _scheduled_expectation(cfg, scheduler, {})
+    law = _demand_law(cfg.popularity, cfg.users)
+    return _scheduled_expectation(cfg, scheduler, {}, law)
 
 
 @dataclass(frozen=True)
@@ -345,6 +322,17 @@ def _lower_hull(nodes, collinear: bool) -> list:
     return hull
 
 
+def _interpolate(vertices: Sequence[tuple[Fraction, Number]], m: Number) -> Number:
+    """The rate at `m` of the piecewise linear curve through `vertices`, in
+    strictly increasing M, on the segment that ends at the first vertex at
+    or beyond `m` (found by bisection); the first vertex gives its rate."""
+    i = bisect.bisect_left(vertices, m, key=operator.itemgetter(0))
+    if i == 0:
+        return vertices[0][1]
+    (x0, y0), (x1, y1) = vertices[i - 1], vertices[i]
+    return y0 + (y1 - y0) * (m - x0) / (x1 - x0)
+
+
 @dataclass(frozen=True)
 class Envelope:
     """Lower convex envelope of achievable points over cache size."""
@@ -356,22 +344,19 @@ class Envelope:
     def value(self, m) -> Number:
         """The envelope's rate at cache size `m`, read like any other number
         of the package: a string, int or Fraction exactly, a finite float as
-        it is; anything else raises :class:`ValidationError`."""
+        it is; anything else raises :class:`ValidationError`, as does an `m`
+        outside the vertices' range.  See :func:`_interpolate`."""
         m = _parse_number(m, "cache size")
         lo, hi = self.vertices[0][0], self.vertices[-1][0]
         if not lo <= m <= hi:
             raise ValidationError(f"cache size {m} outside envelope domain [{lo}, {hi}]")
-        for (x0, y0), (x1, y1) in zip(self.vertices, self.vertices[1:]):
-            if x0 <= m <= x1:
-                if m == x0:
-                    return y0
-                return y0 + (y1 - y0) * (m - x0) / (x1 - x0)
-        return self.vertices[-1][1]
+        return _interpolate(self.vertices, m)
 
 
 def lower_envelope(points: Sequence[RatePoint]) -> Envelope:
     """Lower convex envelope over M; classifies every input point as a
-    `vertex`, on the `boundary` (collinear, non-vertex), or `above`."""
+    `vertex`, on the `boundary` (collinear, non-vertex), or `above`, against
+    the rate :meth:`Envelope.value` gives at its M, read once per distinct M."""
     pts = tuple(points)
     if not pts:
         raise ValidationError("at least one point is required")
@@ -381,8 +366,7 @@ def lower_envelope(points: Sequence[RatePoint]) -> Envelope:
         if cur is None or pt.rate < cur[1]:
             best[pt.m] = (pt.m, pt.rate)
     hull = _lower_hull(sorted(best.values()), collinear=False)
-    env = Envelope(points=pts, vertices=tuple(hull), labels=())
-    levels = {m: env.value(m) for m in best}
+    levels = {m: _interpolate(hull, _parse_number(m, "cache size")) for m in best}
     labels = []
     vertex_set = set(hull)
     for pt in pts:
@@ -559,7 +543,7 @@ def alpha_expected_rate(
                 else:
                     cfg = make_config(users, [size], [t], group_pop, "alpha")
                 if law is None:
-                    law = _demand_law(cfg.popularity, _demand_multisets(cfg.num_files, users))
+                    law = _demand_law(cfg.popularity, users)
                 total += w * _scheduled_expectation(cfg, scheduler, memo, law)
     return total
 
@@ -588,8 +572,7 @@ def beta_points(
         make_config(users, sizes, list(r), popularity, strategy="beta")
         for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes))
     ]
-    pop = configs[0].popularity
-    law = _demand_law(pop, _demand_multisets(len(pop), users))
+    law = _demand_law(configs[0].popularity, users)
     memo: dict = {}
     out = []
     for cfg in configs:

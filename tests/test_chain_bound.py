@@ -11,17 +11,13 @@ from codedcache import (
     chain_bound,
     classic_rate,
     exhaustive_schedule,
+    expected_rate_exact,
     lower_envelope,
     make_config,
     place,
     toy_cache,
 )
-from codedcache.rates import (
-    RatePoint,
-    _demand_multisets,
-    _multiset_expectation,
-    _scheduled_expectation,
-)
+from codedcache.rates import RatePoint, _demand_law, _scheduled_expectation
 
 
 def brute_chain_bound(cache, demand):
@@ -68,7 +64,7 @@ def test_chain_bound_of_one_alpha_group_is_the_classic_rate():
         for size in range(1, 4):
             for t in range(users + 1):
                 cache = place(make_config(users, [size], [t], strategy="alpha"))
-                for rep in _demand_multisets(size, users):
+                for rep in itertools.combinations_with_replacement(range(1, size + 1), users):
                     expect = classic_rate(users, t, len(set(rep)))
                     assert chain_bound(cache, rep) == expect, (users, size, t, rep)
 
@@ -79,15 +75,13 @@ def test_chain_bound_is_the_exhaustive_rate_at_three_users(sizes):
     files = sum(sizes)
     for r in itertools.combinations_with_replacement(range(3, -1, -1), len(sizes)):
         cache = place(make_config(3, sizes, list(r)))
-        for rep in _demand_multisets(files, 3):
+        for rep in itertools.combinations_with_replacement(range(1, files + 1), 3):
             assert chain_bound(cache, rep) == exhaustive_schedule(cache, rep).rate, (r, rep)
 
 
 def test_chain_bound_expectation_at_four_users():
-    cache = place(make_config(4, [1, 1], [3, 1]))
     popularity = (Fraction(3, 4), Fraction(1, 4))
-    multisets = _demand_multisets(2, 4)
-    expectation = _multiset_expectation(popularity, multisets, lambda rep: chain_bound(cache, rep))
+    expectation = expected_rate_exact(make_config(4, [1, 1], [3, 1], popularity), chain_bound)
     assert expectation == Fraction(303, 512)
 
 
@@ -109,7 +103,7 @@ def bound_points(users, sizes, popularity):
     memo, points = {}, []
     for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes)):
         cfg = make_config(users, sizes, list(r), popularity, strategy="beta")
-        rate = _scheduled_expectation(cfg, chain_bound, memo)
+        rate = _scheduled_expectation(cfg, chain_bound, memo, _demand_law(cfg.popularity, users))
         points.append(RatePoint(cfg.memory, rate, label=f"bound r={r}", params=r))
     return points
 

@@ -564,6 +564,32 @@ def test_rates_beta_sweep_matches_golden_digest(tmp_path, setup):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == BETA_SWEEP_GOLDEN[setup]
 
 
+# sha256 of the `rates --m-sweep --csv` output for two files of one file
+# each, beyond K = 4: the bound's demand law at K = 8, and the grouping
+# baseline's envelope with many vertices at K = 200, taken from the linear
+# envelope scan and the law built from a separate multiset list.
+LARGE_K_SWEEP_GOLDEN = {
+    (8, ("9/10", "1/10"), "alpha,bound"): "caa3b6e0ca58b067aa1da0663d7d20a216664250e709d7550b59b7fd6c5785f3",
+    (200, ("3/4", "1/4"), "alpha"): "6294400ef8f232b2f1b694cb0c13eee7d45074eef5bdb3db70e6b4036ecda347",
+}
+
+
+@pytest.mark.parametrize("setup", LARGE_K_SWEEP_GOLDEN, ids=lambda s: f"K{s[0]}-{s[2]}")
+def test_rates_large_k_sweep_matches_golden_digest(tmp_path, setup):
+    users, popularity, strategies = setup
+    cfg = {
+        "K": users,
+        "strategy": "beta",
+        "groups": [{"size": 1, "r": 1}, {"size": 1, "r": 1}],
+        "popularity": list(popularity),
+    }
+    path, out = tmp_path / "large.json", tmp_path / "large.csv"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ["rates", str(path), "--m-sweep", "--strategies", strategies, "--csv", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_K_SWEEP_GOLDEN[setup]
+
+
 def test_rates_alpha_sweep_beyond_the_demand_limit(tmp_path):
     # 3**13 request vectors exceed the enumeration limit; the grouping
     # baseline's expectation enumerates none of them

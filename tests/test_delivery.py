@@ -1040,7 +1040,7 @@ def test_schedule_json_rejects_a_file_that_is_no_integer(file):
 def test_schedule_json_rejects_garbage():
     with pytest.raises(ValidationError):
         schedule_from_json({"rate": "1/3"})
-    for rate in ("abc", "1/0", True, False, 0.1, 1.0):
+    for rate in ("abc", "1/0", True, False, 0.1, 1.0, "1e-99999999", "1e99999999"):
         with pytest.raises(ValidationError, match="malformed schedule"):
             schedule_from_json({"messages": [], "rate": rate})
     with pytest.raises(ValidationError, match="rate cannot be negative"):

@@ -95,9 +95,9 @@ def _counting_law(monkeypatch):
     calls = []
     law = rates._demand_law
 
-    def counted(popularity, multisets):
+    def counted(popularity, users):
         calls.append(tuple(popularity))
-        return law(popularity, multisets)
+        return law(popularity, users)
 
     monkeypatch.setattr(rates, "_demand_law", counted)
     return calls

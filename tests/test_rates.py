@@ -45,6 +45,7 @@ from codedcache import (
     write_curves_csv,
 )
 from codedcache import delivery, rates
+from codedcache.placement import _parse_number
 from codedcache.rates import _compositions
 
 EXHAUSTIVE = lambda cache, demand: exhaustive_schedule(cache, demand)
@@ -325,6 +326,102 @@ def test_envelope_labels_each_point_at_its_own_level():
             want.append(BOUNDARY if pt.rate == level else ABOVE)
     assert env.labels == tuple(want)
     assert {VERTEX, ABOVE} <= set(want)
+
+
+def _scan_value(vertices, m):
+    """The envelope's rate at `m` by a linear scan over its segments: the
+    first segment whose ends enclose `m` gives it."""
+    m = _parse_number(m, "cache size")
+    for (x0, y0), (x1, y1) in zip(vertices, vertices[1:]):
+        if x0 <= m <= x1:
+            if m == x0:
+                return y0
+            return y0 + (y1 - y0) * (m - x0) / (x1 - x0)
+    return vertices[-1][1]
+
+
+def _scan_envelope(points):
+    """The vertices and labels of the lower envelope, each distinct M's
+    level read by :func:`_scan_value`."""
+    best = {}
+    for pt in points:
+        if pt.m not in best or pt.rate < best[pt.m][1]:
+            best[pt.m] = (pt.m, pt.rate)
+    hull = []
+    for node in sorted(best.values()):
+        while len(hull) >= 2 and rates._cross(hull[-2], hull[-1], node) <= 0:
+            hull.pop()
+        hull.append(node)
+    levels = {m: _scan_value(hull, m) for m in best}
+    labels = []
+    for pt in points:
+        level = levels[pt.m]
+        if isinstance(pt.rate, Fraction) and isinstance(level, Fraction):
+            on_curve = pt.rate == level
+        else:
+            on_curve = abs(float(pt.rate) - float(level)) <= 1e-12
+        if on_curve and (pt.m, pt.rate) in hull:
+            labels.append(VERTEX)
+        else:
+            labels.append(BOUNDARY if on_curve else ABOVE)
+    return hull, labels
+
+
+def _bits(value):
+    """A number's type and value, a float's to the bit."""
+    return type(value).__name__, value.hex() if isinstance(value, float) else value
+
+
+def _random_envelope_points(rng):
+    """Points with Fraction, int or float M, or Fraction and float M mixed,
+    exact or float rates, repeated Ms and a collinear run or two."""
+    as_m = rng.choice(
+        [
+            lambda k: Fraction(k, 4),
+            lambda k: k,
+            lambda k: k / 4,
+            lambda k: rng.choice([Fraction(k, 4), k / 4]),
+        ]
+    )
+    exact = rng.random() < 0.5
+
+    def as_rate(r):
+        return r if exact else float(r)
+
+    pts = []
+    for _ in range(rng.randint(1, 14)):
+        rate = Fraction(rng.randint(0, 48), rng.randint(1, 12))
+        pts.append(RatePoint(as_m(rng.randint(0, 16)), as_rate(rate), "x"))
+    for _ in range(rng.randint(0, 2)):
+        start, rate = rng.randint(0, 12), Fraction(rng.randint(12, 48), 4)
+        slope = Fraction(rng.randint(0, 8), 3)
+        for k in range(rng.randint(2, 5)):
+            pts.append(RatePoint(as_m(start + k), as_rate(rate - k * slope), "run"))
+    if not exact and rng.random() < 0.5:
+        pts.append(RatePoint(as_m(rng.randint(0, 16)), rng.random() * 4, "noise"))
+    rng.shuffle(pts)
+    return pts
+
+
+def test_envelope_lookup_is_the_linear_scan_bit_for_bit():
+    rng = random.Random(2026)
+    midpoints, seen = 0, set()
+    for _ in range(400):
+        pts = _random_envelope_points(rng)
+        env = lower_envelope(pts)
+        hull, labels = _scan_envelope(pts)
+        assert [tuple(map(_bits, v)) for v in env.vertices] == [tuple(map(_bits, v)) for v in hull]
+        assert env.labels == tuple(labels)
+        ms = [x for x, _ in hull] + [pt.m for pt in pts]
+        mids = [(x0 + x1) / 2 for (x0, _), (x1, _) in zip(hull, hull[1:])]
+        midpoints += len(mids)
+        for m in ms + mids:
+            value = env.value(m)
+            assert _bits(value) == _bits(_scan_value(hull, m)), (pts, m)
+            seen.add(type(value))
+        seen.update(labels)
+    assert midpoints > 500
+    assert {VERTEX, BOUNDARY, ABOVE, Fraction, float} <= seen
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +722,10 @@ def _plain_expectation(cfg, scheduler):
     """expected_rate_exact with nothing reused: every demand multiset is
     handed to `scheduler`."""
     cache = place_beta(cfg)
-    multisets = rates._demand_multisets(cfg.num_files, cfg.users)
-    return rates._multiset_expectation(
-        cfg.popularity, multisets, lambda rep: scheduler(cache, rep).rate
-    )
+    total = rates._zero(cfg.popularity)
+    for rep, coefficient in rates._demand_law(cfg.popularity, cfg.users):
+        total += coefficient * scheduler(cache, rep).rate
+    return total
 
 
 def _unmemoized_points(users, sizes, popularity, scheduler):
@@ -683,7 +780,9 @@ def test_beta_points_reuse_changes_no_exhaustive_outcome_at_four_users(monkeypat
             cfg = make_config(4, sizes, list(r), popularity, strategy="beta")
             plain = _outcome(lambda: _plain_expectation(cfg, EXHAUSTIVE))
             shared = _outcome(
-                lambda: rates._scheduled_expectation(cfg, EXHAUSTIVE, memo)
+                lambda: rates._scheduled_expectation(
+                    cfg, EXHAUSTIVE, memo, rates._demand_law(cfg.popularity, 4)
+                )
             )
             assert shared == plain
     assert returned >= 3  # the one-group sweeps return
