@@ -11,8 +11,9 @@ cannot be read or written), 3 verification failure, 4 resource limit
 exceeded.  Every file output gets a sibling
 ``<name>.manifest.json`` recording how it was produced.  Outputs are
 deterministic for a given config and seed, except manifest timestamps.
-The JSON layouts have one owner each: ``placement.cache_json_text`` for
-``place`` and ``delivery.schedules_json_text`` for ``deliver``.
+The JSON layouts have one owner each: ``placement._cache_json_chunks``
+for ``place``, which writes its chunks one user record at a time, and
+``delivery.schedules_json_text`` for ``deliver``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .delivery import (
     schedules_json_text,
 )
 from .errors import LimitExceededError, ValidationError
-from .placement import cache_json_text, load_config, place
+from .placement import _cache_json_chunks, load_config, place
 from .rates import (
     ENUMERATION_LIMIT,
     RateCurve,
@@ -128,7 +129,9 @@ def cmd_place(args) -> int:
     cfg = load_config(args.config)
     cache = place(cfg)
     out = Path(args.out)
-    out.write_text(cache_json_text(cache), encoding="utf-8")
+    # one user record at a time: the file's text is never held whole
+    with open(out, "w", encoding="utf-8") as fh:
+        fh.writelines(_cache_json_chunks(cache))
     _write_manifest(out, "place", args.config)
     print(f"wrote {out}")
     return EXIT_OK

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, compress, repeat
 from operator import countOf
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .combinatorics import (
     SubfileIndex,
@@ -413,20 +413,20 @@ def _list_parts(items: Sequence[Sequence[str]], depth: int) -> list[str]:
     return parts
 
 
-def cache_json_text(cache: CacheState) -> str:
-    """The cache JSON file's text: ``json.dumps(..., indent=2)`` of the
-    record plus a final newline, byte for byte.
+def _cache_json_chunks(cache: CacheState) -> Iterator[str]:
+    """The cache JSON file's text in chunks: the opening with ``K`` and
+    ``files``, then one chunk per user record, then the closing.
 
-    This function owns the layout; :func:`cache_to_json` is parsed from its
-    text.  Each user record lists, per file in rank order, the chains of
-    the pieces the user holds.  Every user subset is rendered once, every
-    piece's entry once per file, and the entry is shared by the holders
-    found by walking the set bits of its mask; the parts are joined once.
+    This generator owns the layout.  Each user record lists, per file in
+    rank order, the chains of the pieces the user holds.  Every user subset
+    is rendered once, and every piece's chains once per r-vector; a user's
+    entries are picked out of those by the user's bit in the holder masks
+    when the user's chunk is due, so no text longer than one user record is
+    ever built.
     """
-    holders: list[list[tuple[str]]] = [[] for _ in range(cache.users)]
-    chains: dict[tuple[int, ...], list[str]] = {}
-    for f, (space, row) in enumerate(zip(cache.spaces, cache.masks), start=1):
-        if space not in chains:
+    blocks: dict[tuple[int, ...], list[str]] = {}
+    for space in cache.spaces:
+        if space not in blocks:
             # an entry sits 4 levels deep (top, users, user, entries), so
             # its chains open 5 levels deep and their user subsets 6
             pieces = _enumerate(cache.users, space)
@@ -434,34 +434,51 @@ def cache_json_text(cache: CacheState) -> str:
                 m: (json.dumps(_users_from_mask(m), indent=2).replace("\n", _nl(6)),)
                 for m in {m for idx in pieces for m in idx.masks}
             }
-            chains[space] = [
+            blocks[space] = [
                 "".join(_list_parts([subsets[m] for m in idx.masks], 5)) for idx in pieces
             ]
-        head = "{" + _nl(5) + f'"file": {f},' + _nl(5) + '"chains": '
-        tail = _nl(4) + "}"
-        for mask, block in zip(row, chains[space]):
-            if mask:
-                entry = (head + block + tail,)
-                while mask:
-                    low = mask & -mask
-                    holders[low.bit_length() - 1].append(entry)
-                    mask ^= low
+    rows = [
+        ("{" + _nl(5) + f'"file": {f},' + _nl(5) + '"chains": ', row, blocks[space])
+        for f, (space, row) in enumerate(zip(cache.spaces, cache.masks), start=1)
+    ]
+    tail = _nl(4) + "}"
     files = [
         {"file": f, "r": list(space), "subpacketization": len(row)}
         for f, (space, row) in enumerate(zip(cache.spaces, cache.masks), start=1)
     ]
-    users = [
-        ["{" + _nl(3) + f'"user": {k},' + _nl(3) + '"entries": ']
-        + _list_parts(entries, 3)
-        + [_nl(2) + "}"]
-        for k, entries in enumerate(holders, start=1)
-    ]
-    top = (
+    yield (
         "{" + _nl(1) + f'"K": {json.dumps(cache.users)},'
         + _nl(1) + '"files": ' + json.dumps(files, indent=2).replace("\n", _nl(1)) + ","
-        + _nl(1) + '"users": '
+        + _nl(1) + '"users": ['
     )
-    return "".join([top, *_list_parts(users, 1), "\n}\n"])
+    # a cache state has at least one user, so the users list is never "[]"
+    sep = _nl(2)
+    for k in range(1, cache.users + 1):
+        bit = 1 << (k - 1)
+        entries = [
+            (head, block, tail)
+            for head, row, chains in rows
+            for mask, block in zip(row, chains)
+            if mask & bit
+        ]
+        yield "".join(
+            [sep, "{", _nl(3), f'"user": {k},', _nl(3), '"entries": ']
+            + _list_parts(entries, 3)
+            + [_nl(2), "}"]
+        )
+        sep = "," + _nl(2)
+    yield _nl(1) + "]\n}\n"
+
+
+def cache_json_text(cache: CacheState) -> str:
+    """The cache JSON file's text: ``json.dumps(..., indent=2)`` of the
+    record plus a final newline, byte for byte.
+
+    The chunks of :func:`_cache_json_chunks`, joined; ``place --out``
+    writes those chunks one at a time instead.  :func:`cache_to_json` is
+    parsed from this text.
+    """
+    return "".join(_cache_json_chunks(cache))
 
 
 def cache_to_json(cache: CacheState) -> dict:

@@ -435,7 +435,17 @@ def _distinct_law(users: int, group_pop: tuple, rest) -> list:
     weight ``C(users - j, c) * p_f**c``, with each power taken once per
     file.  The users left over request a file outside the group, each with
     probability `rest`.
+
+    Exact popularities are scaled to integers over one common denominator
+    L, so ``ways[j][d]`` is an integer over ``L**j``, each law entry one
+    integer over ``L**users``, and no gcd is taken until each entry becomes
+    a ``Fraction`` at the end.  Floats run the same loop with L = 1.
     """
+    exact = all(isinstance(p, Fraction) for p in (rest, *group_pop))
+    if exact:
+        scale = math.lcm(rest.denominator, *(p.denominator for p in group_pop))
+        group_pop = [p.numerator * (scale // p.denominator) for p in group_pop]
+        rest = rest.numerator * (scale // rest.denominator)
     ways = [[0] * (users + 1) for _ in range(users + 1)]
     ways[0][0] = 1
     for p in group_pop:
@@ -455,6 +465,9 @@ def _distinct_law(users: int, group_pop: tuple, rest) -> list:
         stay = rest ** (users - j)
         for d in range(j + 1):
             law[d] += ways[j][d] * stay
+    if exact:
+        whole = scale**users
+        law = [Fraction(w, whole) for w in law]
     return law
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -150,8 +151,7 @@ PLACE_OUT_GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("strategy, sizes, r, digest", PLACE_OUT_GOLDEN, ids=["beta", "alpha"])
-def test_place_out_bytes_pinned(tmp_path, strategy, sizes, r, digest):
+def _k10_config(tmp_path, strategy, sizes, r) -> Path:
     # the placement ignores popularity, so uniform stands in for any
     cfg = {
         "K": 10,
@@ -159,10 +159,40 @@ def test_place_out_bytes_pinned(tmp_path, strategy, sizes, r, digest):
         "groups": [{"size": n, "r": v} for n, v in zip(sizes, r)],
         "popularity": [f"1/{sum(sizes)}"] * sum(sizes),
     }
-    path, out = tmp_path / "k10.json", tmp_path / "k10-cache.json"
+    path = tmp_path / "k10.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("strategy, sizes, r, digest", PLACE_OUT_GOLDEN, ids=["beta", "alpha"])
+def test_place_out_bytes_pinned(tmp_path, strategy, sizes, r, digest):
+    path, out = _k10_config(tmp_path, strategy, sizes, r), tmp_path / "k10-cache.json"
     assert main(["place", str(path), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_place_out_never_holds_the_whole_file(tmp_path):
+    # the file is written one user record at a time: a text of the whole
+    # file, and its encoded bytes, would each be as large as the file
+    strategy, sizes, r, _ = PLACE_OUT_GOLDEN[0]
+    path, out = _k10_config(tmp_path, strategy, sizes, r), tmp_path / "k10-cache.json"
+    tracemalloc.start()
+    try:
+        assert main(["place", str(path), "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < out.stat().st_size, (peak, out.stat().st_size)
+
+
+def test_place_out_replaces_a_longer_file(toy_path, tmp_path):
+    # the streamed write truncates: nothing of the K = 10 file is left
+    strategy, sizes, r, _ = PLACE_OUT_GOLDEN[0]
+    out, fresh = tmp_path / "cache.json", tmp_path / "fresh.json"
+    assert main(["place", str(_k10_config(tmp_path, strategy, sizes, r)), "--out", str(out)]) == 0
+    assert main(["place", str(toy_path), "--out", str(out)]) == 0
+    assert main(["place", str(toy_path), "--out", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
 
 
 def test_deliver_toy_demand(toy_path, tmp_path):

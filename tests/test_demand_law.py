@@ -136,7 +136,9 @@ def test_beta_points_raise_the_limit_before_placing(monkeypatch):
 
 
 def _distinct_law_per_d(users, group_pop, rest):
-    """The distinct-file law with every power taken inside the d loop."""
+    """The distinct-file law as a plain DP in the popularities' own type,
+    ``Fraction`` or float, with every power taken inside the d loop: the
+    oracle for the kernel's power table and its integer arithmetic."""
     ways = [[0] * (users + 1) for _ in range(users + 1)]
     ways[0][0] = 1
     for p in group_pop:
@@ -173,3 +175,24 @@ def test_distinct_law_takes_each_power_once_with_the_same_values(exact):
             want = _distinct_law_per_d(users, group_pop, rest)
             assert got == want, (users, weights)
             assert list(map(type, got)) == list(map(type, want))
+
+
+def test_distinct_law_over_one_denominator_equals_the_fraction_dp():
+    # each popularity gets its own denominator, so the kernel's common
+    # denominator is a true lcm; the float law takes the same loop and must
+    # be bit-identical
+    rng = random.Random(27)
+    for users in (1, 2, 4, 9, 17, 28, 40):
+        for size in (1, 2, 3, 5):
+            raw = [Fraction(rng.randint(0, 9), rng.randint(1, 12)) for _ in range(size + 1)]
+            raw[rng.randrange(size + 1)] += Fraction(1, rng.randint(1, 12))
+            pop = [w / sum(raw) for w in raw]
+            group_pop, rest = tuple(pop[:-1]), pop[-1]
+            got = rates._distinct_law(users, group_pop, rest)
+            assert got == _distinct_law_per_d(users, group_pop, rest), (users, pop)
+            assert all(type(w) is Fraction for w in got)
+            assert sum(got) == 1
+            group_pop, rest = tuple(map(float, group_pop)), float(rest)
+            got = rates._distinct_law(users, group_pop, rest)
+            assert got == _distinct_law_per_d(users, group_pop, rest), (users, pop)
+            assert all(type(w) is float for w in got)
