@@ -547,12 +547,14 @@ class _CliqueIndex:
     def __init__(self, table: _PieceTable, needed: Mapping[int, list[int]]) -> None:
         self.table = table
         self.buckets: dict[int, dict[tuple[int, int], list[int]]] = {}
+        self.active = 0  # bit k - 1 set iff user k is a key of buckets
         for k, columns in needed.items():
             by_bucket: dict[tuple[int, int], list[int]] = {}
             for column in columns:
                 by_bucket.setdefault(self._bucket(column), []).append(column)
             if by_bucket:
                 self.buckets[k] = by_bucket
+                self.active |= 1 << (k - 1)
 
     def _bucket(self, column: int) -> tuple[int, int]:
         return (self.table.counts[column], self.table.holders[column])
@@ -568,7 +570,7 @@ class _CliqueIndex:
         instead of testing all ``C(K, size)`` of them, so the cost is
         bounded by the number of distinct holder masks, not by S.
         """
-        active = sum(1 << (k - 1) for k in self.buckets)
+        active = self.active
         cover: dict[int, list[tuple[int, int, list[int]]]] = {}
         for k, by_bucket in self.buckets.items():
             bit = 1 << (k - 1)
@@ -590,15 +592,28 @@ class _CliqueIndex:
         return sorted(found, key=lambda clique: clique[:2])
 
     def send(self, body: Sequence[int]) -> None:
-        """Drop what one message delivers: each user that caches all
-        summands but one decodes that one, if it still needs it."""
+        """Drop what one message delivers: a user decodes a summand iff it
+        lacks exactly that one summand of the body, and drops it if it
+        still needs it.
+
+        The decoders are found by bit arithmetic over the summands' holder
+        masks: ``one`` marks the users that lack at least one summand and
+        ``two`` those that lack at least two, so ``one & ~two`` lacks
+        exactly one.  Only those of them that still have buckets are
+        visited; a summand listed twice counts twice, so no user decodes
+        it."""
         holders = self.table.holders
-        for k in list(self.buckets):
-            bit = 1 << (k - 1)
-            lacking = [column for column in body if not holders[column] & bit]
-            if len(lacking) != 1:
-                continue
-            [column] = lacking
+        one = two = 0
+        for column in body:
+            lack = ~holders[column]
+            two |= one & lack
+            one |= lack
+        decoders = one & ~two & self.active
+        while decoders:
+            bit = decoders & -decoders
+            decoders ^= bit
+            k = bit.bit_length()
+            column = next(column for column in body if not holders[column] & bit)
             by_bucket = self.buckets[k]
             where = self._bucket(column)
             bucket = by_bucket.get(where)
@@ -609,6 +624,7 @@ class _CliqueIndex:
                 del by_bucket[where]
                 if not by_bucket:
                     del self.buckets[k]
+                    self.active ^= bit
 
 
 # ---------------------------------------------------------------------------
@@ -627,7 +643,10 @@ def greedy_schedule(cache: CacheState, demand) -> DeliverySchedule:
        pass works on a bucket index of the uncovered pieces and keeps the
        groups of the current size in a heap keyed by the message each
        could send (see :func:`_clique_pass`), so its cost grows with the
-       number of distinct holder masks, not with the sub-packetization S;
+       number of distinct holder masks, not with the sub-packetization S.
+       A key computed since the last send is exact and is sent as it is.
+       Once only one-user groups are left, the pass sends each piece that
+       some user still needs uncoded, once, in ascending column order;
     2. regular pass - per requested file, if every piece is cached by
        the same number ``t`` of users and the ``t``-subsets cover evenly
        (true for both placement strategies), send the standard
@@ -669,32 +688,44 @@ def _clique_pass(table: _PieceTable, needed: Mapping[int, list[int]]) -> list[tu
     popcount, and builds each size once, when the one above has run out.
 
     The cliques of the current size sit in a heap keyed by the tuple each
-    had when last computed.  Sending only removes columns, so no head ever
-    falls, and a sorted tuple of non-decreasing values never falls either:
-    every key is a lower bound on its clique's current message.  The top
-    is recomputed; if it still equals its key it is the least message of
-    all and is sent, and its entry stays; if the clique has died it is
-    popped, and otherwise it is pushed back with its new key.
+    had when it was computed, stamped with the number of messages sent
+    by then.  Sending only removes columns, so no head ever falls, and a
+    sorted tuple of non-decreasing values never falls either: every key
+    is a lower bound on its clique's current message.  Only sends move
+    heads, so a key stamped since the last send is exact, and a stale top
+    is recomputed.  An exact top is the least message of all and is sent,
+    and the sender's heads are recomputed once.  Either way the top is
+    then popped if its clique has died, and replaced, freshly stamped,
+    otherwise.
+
+    At group size 1 the pass ends with the uncoded tail: every distinct
+    column still in a bucket, once, in ascending order.  A lone piece is
+    decoded by every user that lacks it, so these are the messages, in
+    the order, that the heap of one-user cliques would send.
     """
     index = _CliqueIndex(table, needed)
     messages: list[tuple[int, ...]] = []
     holder_masks = (mask for by_bucket in index.buckets.values() for _, mask in by_bucket)
     size = max((mask.bit_count() + 1 for mask in holder_masks), default=0)
-    while index.buckets:
+    while index.buckets and size > 1:
         found = index.cliques(size)
-        heap = [(heads, i) for i, (_, _, fits) in enumerate(found) if (heads := _heads(fits))]
+        sent = len(messages)
+        heap = [(heads, i, sent) for i, (_, _, fits) in enumerate(found) if (heads := _heads(fits))]
         heapq.heapify(heap)
         while heap:
-            key, i = heap[0]
-            heads = _heads(found[i][2])
-            if heads == key:
-                index.send(heads)
-                messages.append(heads)
-            elif heads is None:
+            key, i, stamp = heap[0]
+            fits = found[i][2]
+            if stamp == len(messages) or (heads := _heads(fits)) == key:
+                index.send(key)
+                messages.append(key)
+                heads = _heads(fits)
+            if heads is None:
                 heapq.heappop(heap)
             else:
-                heapq.heapreplace(heap, (heads, i))
+                heapq.heapreplace(heap, (heads, i, len(messages)))
         size -= 1
+    buckets = (bucket for by_bucket in index.buckets.values() for bucket in by_bucket.values())
+    messages += [(column,) for column in sorted(set(itertools.chain.from_iterable(buckets)))]
     return messages
 
 
@@ -776,7 +807,9 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
     linear code of length ``c``, so ``c`` is at least that bound: no
     shallower depth holds a schedule, and the first schedule found is the
     one a search from the needed count finds.  When the bound exceeds
-    ``_MAX_MESSAGES`` the search raises at once.
+    ``_MAX_MESSAGES`` the search raises at once, before the candidate
+    family is listed, with the same "no schedule within" error that an
+    exhausted deepening raises.
 
     Each user keeps one echelon basis of the messages, keyed by top bit, in
     its own coordinates: its ``n`` needed columns at ``0..n-1``, its other
@@ -790,6 +823,9 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
     listed once per call.
     """
     dem = normalize_demand(cache, demand)
+    bound = _piece_count_bound(cache, dem)
+    if bound > _MAX_MESSAGES:
+        _no_schedule(dem)
     table = _PieceTable(cache)
     needed = {k: columns for k, columns in table.needed(dem).items() if columns}
     if not needed:
@@ -854,10 +890,14 @@ def exhaustive_schedule(cache: CacheState, demand) -> DeliverySchedule:
                 deficiency[u] += top < sizes[u]
         return None
 
-    for depth in range(_piece_count_bound(cache, dem), _MAX_MESSAGES + 1):
+    for depth in range(bound, _MAX_MESSAGES + 1):
         picked = search(0, depth)
         if picked is not None:
             return table.schedule([candidates[i] for i in picked])
+    _no_schedule(dem)
+
+
+def _no_schedule(dem: Mapping[int, int]) -> NoReturn:
     raise BudgetExceededError(
         f"no schedule within {_MAX_MESSAGES} messages for demand {dict(dem)}"
     )
@@ -871,7 +911,9 @@ def exhaustive_rate(cache: CacheState, demand) -> Fraction:
     :func:`_piece_count_bound` and that bound is at most
     ``_MAX_MESSAGES``, when each has at most ``_MAX_SUMMANDS`` summands,
     and when the needed pieces have one piece size; their rate is then
-    returned.  Otherwise the search runs and its rate is returned.
+    returned.  Otherwise the search runs and its rate is returned.  The
+    bound is taken first: above ``_MAX_MESSAGES`` no clique pass runs,
+    and the search is called only to raise at once.
 
     The value is the search's.  Each clique-pass message is a clique of
     the index the search starts from, so it is one of its candidates, and
@@ -882,17 +924,18 @@ def exhaustive_rate(cache: CacheState, demand) -> Fraction:
     ``_CANDIDATE_CAP`` candidates, a certified rate is returned instead.
     """
     dem = normalize_demand(cache, demand)
-    table = _PieceTable(cache)
-    needed = table.needed(dem)
-    messages = _clique_pass(table, needed)
     bound = _piece_count_bound(cache, dem)
-    sizes = {table.counts[c] for columns in needed.values() for c in columns}
-    if (
-        len(messages) == bound <= _MAX_MESSAGES
-        and all(len(body) <= _MAX_SUMMANDS for body in messages)
-        and len(sizes) <= 1
-    ):
-        return table.rate(messages)
+    if bound <= _MAX_MESSAGES:
+        table = _PieceTable(cache)
+        needed = table.needed(dem)
+        messages = _clique_pass(table, needed)
+        sizes = {table.counts[c] for columns in needed.values() for c in columns}
+        if (
+            len(messages) == bound
+            and all(len(body) <= _MAX_SUMMANDS for body in messages)
+            and len(sizes) <= 1
+        ):
+            return table.rate(messages)
     return exhaustive_schedule(cache, demand).rate
 
 

@@ -337,6 +337,17 @@ def test_deliver_budget_exit_4(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_deliver_exhaustive_past_the_message_budget_exits_4_at_once(tmp_path, capsys):
+    # the piece-count bound, 435, exceeds the 12-message budget, so the
+    # search gives up before it lists any candidate message
+    cfg = dict(TOY, K=8, groups=[{"size": 1, "r": 4}, {"size": 1, "r": 2}])
+    path = tmp_path / "k8.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    argv = ["deliver", str(path), "--demand", "1,2,1,2,1,2,1,2", "--scheduler", "exhaustive"]
+    assert main(argv) == 4
+    assert "no schedule within 12 messages" in capsys.readouterr().err
+
+
 # sha256 of the `deliver --out` file, taken while the CLI still wrote
 # json.dumps(..., indent=2) of one dict per message.  The alpha configs
 # mix piece sizes; K = 10 pins the {1,2} brace form of the message labels.

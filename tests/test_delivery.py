@@ -626,6 +626,80 @@ def test_greedy_builds_the_groups_of_each_size_once(monkeypatch):
     assert schedule.rate == Fraction(29, 30) and len(schedule.messages) == 29
     assert built == [2]
 
+    # a demand whose clique pass ends in uncoded pieces: the tail is sent
+    # without building the one-user groups
+    built.clear()
+    schedule = greedy_schedule(place_beta(make_config(5, [1, 1], [3, 1])), (1, 2, 1, 2, 2))
+    assert schedule.rate == Fraction(6, 5) and len(schedule.messages) == 36
+    assert built == [4, 3, 2]
+
+
+def test_greedy_sends_a_file_no_one_caches_once_uncoded_in_column_order():
+    # file 2 sits at r = 0, so no clique holds its pieces: each is sent
+    # once, alone, in ascending column order, though three users request it
+    cache = place_beta(make_config(4, [1, 1], [2, 0]))
+    demand = (2, 1, 2, 2)
+    table = _PieceTable(cache)
+    messages = delivery._clique_pass(table, table.needed(normalize_demand(cache, demand)))
+    file_two = set(table.columns(2))
+    assert [m for m in messages if file_two & set(m)] == [(c,) for c in table.columns(2)]
+    schedule = greedy_schedule(cache, demand)
+    sent = [m.summands for m in schedule.messages if any(f == 2 for f, _ in m.summands)]
+    assert sent == [(pair,) for pair in cache.pairs(2)]
+    assert decodable(cache, schedule, demand).ok
+
+
+def _reference_send(table, buckets, body):
+    """`_CliqueIndex.send` as a loop over every user and every summand: a
+    user that caches all summands but one decodes that one."""
+    for k in list(buckets):
+        lacking = [c for c in body if not table.holders[c] >> (k - 1) & 1]
+        if len(lacking) != 1:
+            continue
+        [column] = lacking
+        by_bucket = buckets[k]
+        where = (table.counts[column], table.holders[column])
+        bucket = by_bucket.get(where)
+        if bucket is None or column not in bucket:
+            continue
+        bucket.remove(column)
+        if not bucket:
+            del by_bucket[where]
+            if not by_bucket:
+                del buckets[k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(relabeled_demands(max_users=6), st.none() | st.integers(0, 2**32), st.data())
+def test_send_drops_what_the_per_user_loop_drops(case, mask_seed, data):
+    cfg, demand, _ = case
+    cache = place(cfg)
+    if mask_seed is not None:
+        rng = random.Random(mask_seed)
+        full = (1 << cfg.users) - 1
+        masks = tuple(tuple(rng.randint(0, full) for _ in row) for row in cache.masks)
+        cache = CacheState(cfg.users, cache.spaces, masks)
+    table = _PieceTable(cache)
+    index = _CliqueIndex(table, table.needed(normalize_demand(cache, demand)))
+    expected = {k: {b: list(v) for b, v in d.items()} for k, d in index.buckets.items()}
+    by_size = {}
+    for column, count in enumerate(table.counts):
+        by_size.setdefault(count, []).append(column)
+    for _ in range(data.draw(st.integers(1, 12))):
+        # any equal-size columns, repeats, unneeded and fully cached ones
+        # included, or the message some clique of the index can send
+        cliques = [fits for size in (2, 3) for _, _, fits in index.cliques(size)]
+        heads = [h for fits in cliques if (h := delivery._heads(fits))]
+        if heads and data.draw(st.booleans()):
+            body = data.draw(st.sampled_from(heads))
+        else:
+            columns = by_size[data.draw(st.sampled_from(sorted(by_size)))]
+            body = data.draw(st.lists(st.sampled_from(columns), min_size=1, max_size=4))
+        index.send(body)
+        _reference_send(table, expected, body)
+        assert index.buckets == expected
+        assert index.active == sum(1 << (k - 1) for k in expected)
+
 
 @pytest.mark.xfail(
     strict=True,
@@ -702,6 +776,23 @@ def test_exhaustive_never_worse_than_greedy():
         exact = exhaustive_schedule(cache, demand)
         assert decodable(cache, exact, demand).ok
         assert exact.rate <= greedy.rate
+
+
+def test_exhaustive_raises_at_once_where_the_bound_exceeds_the_message_budget(monkeypatch):
+    # piece-count bound 435 > _MAX_MESSAGES: neither the candidate family
+    # nor the clique pass is built before the search gives up
+    cache = place_beta(make_config(8, [1, 1], [4, 2]))
+    demand = (1, 2, 1, 2, 1, 2, 1, 2)
+    assert delivery._piece_count_bound(cache, normalize_demand(cache, demand)) == 435
+
+    def unreachable(*args):
+        raise AssertionError("built although the bound exceeds the message budget")
+
+    monkeypatch.setattr(delivery, "_candidate_messages", unreachable)
+    monkeypatch.setattr(delivery, "_clique_pass", unreachable)
+    for use in (exhaustive_schedule, exhaustive_rate):
+        with pytest.raises(BudgetExceededError, match="no schedule within 12 messages"):
+            use(cache, demand)
 
 
 def test_exhaustive_node_budget_is_exact(monkeypatch):
