@@ -54,6 +54,12 @@ def _parse_number(value, name: str) -> Number:
     anything else, booleans included, raises :class:`ValidationError`,
     as does a decimal exponent beyond ``_MAX_EXPONENT``, whose power of
     ten would take seconds to build."""
+    # floats first: a float grid is the commonest input, and it then skips
+    # the ABC check of Fraction
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return value
+        raise ValidationError(f"{name} {value!r} is not a number")
     if isinstance(value, str):
         _, e, exponent = value.upper().partition("E")
         try:
@@ -68,8 +74,6 @@ def _parse_number(value, name: str) -> Number:
             raise ValidationError(f"{name} {value!r} is not a number") from exc
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return value
     raise ValidationError(f"{name} {value!r} is not a number")
 
 

@@ -21,6 +21,16 @@ cache size by bisection on its vertices.  When the popularity is given as
 exact rationals every expectation here is an exact ``Fraction``; floats
 appear only for float popularities and plotting grids.  No numerical
 solver is used: the K = 3 comparison's crossings are closed-form roots.
+
+The exact analytic path runs on integers over one common denominator.
+The popularity becomes integer weights over L, the lcm of its
+denominators; the baseline's level rates are integers over
+``L**K * lcm_t C(K, t)``, and its candidates' M are integers over K.
+Hulls, rate sums and the envelope's labels are integer operations, and
+a ``Fraction`` is made only where one is returned: once per law entry,
+level rate or candidate (M, rate) pair, and for the hull slopes that
+order the baseline's walk.  Float popularities run the same code with
+the floats themselves, so their bits do not depend on this.
 """
 
 from __future__ import annotations
@@ -222,7 +232,8 @@ def _as_p(p) -> Number:
 
 
 def _const(p: Number, num: int, den: int) -> Number:
-    return Fraction(num, den) if isinstance(p, Fraction) else num / den
+    # a parsed p is a Fraction or a float: the type test skips Fraction's ABC check
+    return num / den if type(p) is float else Fraction(num, den)
 
 
 def _shared_chains(p: Number) -> Number:  # beta r = (2, 1)
@@ -238,18 +249,24 @@ def _one_group(p: Number) -> Number:  # alpha's one memory-shared group
     return _const(p, 2, 3) - (p**3 + q**3) / 6
 
 
+def _beta_at(p: Number) -> Number:
+    return min(_shared_chains(p), _popular_only(p))
+
+
+def _alpha_at(p: Number) -> Number:
+    return min(_one_group(p), _popular_only(p))
+
+
 def rate_beta_closed(p) -> Number:
     """Expected rate of the cross-group strategy at cache size 1:
     min of the (2, 1) and (3, 0) placements."""
-    p = _as_p(p)
-    return min(_shared_chains(p), _popular_only(p))
+    return _beta_at(_as_p(p))
 
 
 def rate_alpha_closed(p) -> Number:
     """Expected rate of the grouping baseline at cache size 1:
     min of the one-group (memory-shared) and two-group placements."""
-    p = _as_p(p)
-    return min(_one_group(p), _popular_only(p))
+    return _alpha_at(_as_p(p))
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +370,55 @@ class Envelope:
         return _interpolate(self.vertices, m)
 
 
+def _exact_envelope(pts: tuple[RatePoint, ...], keys: Sequence[tuple[int, int]]) -> Envelope:
+    """The :func:`lower_envelope` of exact points `pts`, given ``keys[i]``,
+    point i's (M, rate) as two integers: ``(M * a, rate * b)`` for one
+    positive a and one positive b shared by every point.  Scaling an axis
+    keeps the hull and every turn's sign, so the hull is found on the keys
+    and its vertices are the winning points' own ``(m, rate)``.  A point
+    not at a vertex is on the `boundary` iff it lies on the hull segment
+    that ends at the first vertex at or beyond its M, by one cross-multiplied
+    integer test; no ``Fraction`` is made."""
+    best: dict[int, int] = {}
+    for i, (x, y) in enumerate(keys):
+        j = best.get(x)
+        if j is None or y < keys[j][1]:
+            best[x] = i
+    hull = _lower_hull(sorted((*keys[i], i) for i in best.values()), collinear=False)
+    xs = [x for x, _, _ in hull]
+    corners = {(x, y) for x, y, _ in hull}
+    labels = []
+    for x, y in keys:
+        k = bisect.bisect_left(xs, x)
+        if (x, y) in corners:
+            labels.append(VERTEX)
+        elif k and _cross(hull[k - 1], hull[k], (x, y)) == 0:
+            labels.append(BOUNDARY)
+        else:
+            labels.append(ABOVE)
+    vertices = tuple((pts[i].m, pts[i].rate) for _, _, i in hull)
+    return Envelope(points=pts, vertices=vertices, labels=tuple(labels))
+
+
 def lower_envelope(points: Sequence[RatePoint]) -> Envelope:
     """Lower convex envelope over M; classifies every input point as a
     `vertex`, on the `boundary` (collinear, non-vertex), or `above`, against
-    the rate :meth:`Envelope.value` gives at its M, read once per distinct M."""
+    the rate :meth:`Envelope.value` gives at its M.
+
+    When every M is an int or ``Fraction`` and every rate a ``Fraction``,
+    each axis is put on one common denominator, the lcm of its
+    denominators, and the hull and the labels are found on those integer
+    numerators (:func:`_exact_envelope`); the vertices are the input's own
+    ``(m, rate)`` pairs, and no ``Fraction`` is made.  Float or mixed input
+    takes each distinct M's level from the hull once and puts a point on
+    the curve within ``_FLOAT_TOL``."""
     pts = tuple(points)
     if not pts:
         raise ValidationError("at least one point is required")
+    if all(type(pt.m) in (int, Fraction) and type(pt.rate) is Fraction for pt in pts):
+        xs, _ = _on_one_denominator([pt.m for pt in pts])
+        ys, _ = _on_one_denominator([pt.rate for pt in pts])
+        return _exact_envelope(pts, list(zip(xs, ys)))
     best: dict[Fraction, tuple[Fraction, Number]] = {}
     for pt in pts:
         cur = best.get(pt.m)
@@ -425,6 +484,17 @@ def memory_share(users: int, size: int, memory) -> tuple[tuple[Fraction, int], .
     return ((1 - w_hi, int(lo)), (w_hi, int(hi)))
 
 
+def _on_one_denominator(values: Sequence) -> tuple[tuple, int | None]:
+    """Exact `values`, ints and ``Fraction``s, as integer numerators over
+    one common denominator L, the lcm of their denominators, and L; any
+    other values as floats, and None.  An exact popularity becomes integer
+    weights over L."""
+    if all(isinstance(v, (int, Fraction)) for v in values):
+        scale = math.lcm(*(v.denominator for v in values))
+        return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+    return tuple(float(v) for v in values), None
+
+
 def _distinct_law(users: int, group_pop: tuple, rest) -> list:
     """Law of the number of distinct files of one group that `users`
     i.i.d. users request: entry d is P(D = d), for d = 0..users.
@@ -437,15 +507,15 @@ def _distinct_law(users: int, group_pop: tuple, rest) -> list:
     probability `rest`.
 
     Exact popularities are scaled to integers over one common denominator
-    L, so ``ways[j][d]`` is an integer over ``L**j``, each law entry one
-    integer over ``L**users``, and no gcd is taken until each entry becomes
-    a ``Fraction`` at the end.  Floats run the same loop with L = 1.
+    L (:func:`_on_one_denominator`), so ``ways[j][d]`` is an integer over
+    ``L**j``, each law entry one integer over ``L**users``, and no gcd is
+    taken until each entry becomes a ``Fraction`` at the end.  Floats run
+    the same loop with L = 1, and so do integer weights: weights over a
+    total L give the law's integer numerators over ``L**users``.
     """
     exact = all(isinstance(p, Fraction) for p in (rest, *group_pop))
     if exact:
-        scale = math.lcm(rest.denominator, *(p.denominator for p in group_pop))
-        group_pop = [p.numerator * (scale // p.denominator) for p in group_pop]
-        rest = rest.numerator * (scale // rest.denominator)
+        (*group_pop, rest), scale = _on_one_denominator((*group_pop, rest))
     ways = [[0] * (users + 1) for _ in range(users + 1)]
     ways[0][0] = 1
     for p in group_pop:
@@ -471,29 +541,65 @@ def _distinct_law(users: int, group_pop: tuple, rest) -> list:
     return law
 
 
+def _binomial_lcm(users: int) -> int:
+    """``lcm_t C(users, t)``: every :func:`classic_rate` at `users` users is
+    an integer over it."""
+    return math.lcm(*(comb(users, t) for t in range(users + 1)))
+
+
+@lru_cache(maxsize=1024, typed=True)
+def _level_sums(users: int, weights: tuple, rest) -> tuple:
+    """Expected :func:`classic_rate` of one group at every cache level
+    ``t = 0..users``, over the law of its distinct requested files, on the
+    integers: `weights` are the group's files' and `rest` the files
+    outside's integer weights over their total L, and entry t is the rate
+    times ``L**users * _binomial_lcm(users)``, an integer.  Float
+    popularities run the same sums with the rates themselves, each term
+    ``w * classic_rate`` as a float.
+
+    Only the counts of nonzero probability are rated, at most
+    ``len(weights) + 1`` of the ``users + 1``.  ``typed=True`` keys the
+    cache on the type of `rest`, so a float group never reuses an exact
+    result.
+    """
+    law = [(d, w) for d, w in enumerate(_distinct_law(users, weights, rest)) if w]
+    exact = isinstance(rest, int)
+    unit = _binomial_lcm(users) if exact else None
+    sums = []
+    for t in range(users + 1):
+        # classic_rate(users, t, d) is (C(K, t + 1) - C(K - d, t + 1)) / C(K, t)
+        top, below = comb(users, t + 1), comb(users, t)
+        gains = [(w, top - comb(users - d, t + 1)) for d, w in law]
+        if exact:
+            sums.append(sum(w * g for w, g in gains) * (unit // below))
+        else:
+            sums.append(sum(w * (g / below) for w, g in gains))
+    return tuple(sums)
+
+
 @lru_cache(maxsize=1024, typed=True)
 def _level_rates(users: int, group_pop: tuple, rest) -> tuple:
     """Expected :func:`classic_rate` of one group at every cache level
-    ``t = 0..users``, over the law of its distinct requested files.
+    ``t = 0..users``, over the law of its distinct requested files: the
+    group's :func:`_level_sums`, on the denominator of its own popularity,
+    made one ``Fraction`` each; float rates as they are.
 
-    `rest` is the popularity outside the group.  Only the counts of
-    nonzero probability are rated, at most ``len(group_pop) + 1`` of the
-    ``users + 1``.  ``typed=True`` keys the cache on its type, so a float
-    group never reuses an exact result.
+    `rest` is the popularity outside the group.  ``typed=True`` keys the
+    cache on its type, so a float group never reuses an exact result.
     """
-    law = [(d, w) for d, w in enumerate(_distinct_law(users, group_pop, rest)) if w]
-    return tuple(
-        sum(w * classic_rate(users, t, d) for d, w in law) for t in range(users + 1)
-    )
+    (*weights, rest), scale = _on_one_denominator((*group_pop, rest))
+    sums = _level_sums(users, tuple(weights), rest)
+    if scale is None:
+        return sums
+    whole = scale**users * _binomial_lcm(users)
+    return tuple(Fraction(s, whole) for s in sums)
 
 
-def _groups(sizes: Sequence[int], pop: tuple):
+def _groups(sizes: Sequence[int], pop: tuple, zero):
     """``(size, group popularity, popularity outside)`` of every contiguous
-    group of a normalized popularity, in group order."""
-    exact = all(isinstance(p, Fraction) for p in pop)
-    if not exact:
-        pop = tuple(float(p) for p in pop)
-    zero = Fraction(0) if exact else 0.0
+    group of `pop`, in group order, with each total started at `zero`:
+    `pop` is a normalized popularity, exact or as floats, or its integer
+    weights (:func:`_on_one_denominator`)."""
     lo = 0
     for size in sizes:
         hi = lo + size
@@ -543,9 +649,11 @@ def alpha_expected_rate(
     pop = _normalize_popularity(popularity)
     if sum(sizes) != len(pop):
         raise ValidationError("group sizes must cover every file exactly once")
-    total = _zero(pop)
+    total = zero = _zero(pop)
+    if not isinstance(zero, Fraction):  # one float entry makes every entry a float
+        pop = tuple(float(p) for p in pop)
     memo: dict = {}
-    for (size, group_pop, rest), share in zip(_groups(sizes, pop), shares):
+    for (size, group_pop, rest), share in zip(_groups(sizes, pop, zero), shares):
         law = None  # the group's demand law, shared by its levels
         for w, t in share:
             if scheduler is None:
@@ -603,12 +711,37 @@ def _compositions(total: int):
     yield (total,)
 
 
-def _alpha_point(users: int, comp: tuple, levels: list, ts: tuple, zero) -> RatePoint:
-    """The grouping baseline's point for groups `comp` at levels `ts`,
-    given each group's :func:`_level_rates`."""
-    rate = sum((rates[t] for rates, t in zip(levels, ts)), zero)
-    m = Fraction(sum(t * s for t, s in zip(ts, comp)), users)
-    return RatePoint(m, rate, label=f"alpha groups={comp} t={ts}", params=ts)
+def _alpha_levels(users: int, pop: tuple) -> tuple[Callable, Number, int | None]:
+    """The grouping baseline's kernel on one common denominator, for a
+    normalized popularity: a function that gives, for a grouping, every
+    group's :func:`_level_sums` over the popularity's integer weights
+    (:func:`_on_one_denominator`); the zero they add from; and the
+    denominator ``L**K * _binomial_lcm(K)`` they share, or None for a float
+    popularity, whose level sums are the float rates."""
+    weights, scale = _on_one_denominator(pop)
+    zero = 0 if scale else 0.0
+
+    def levels(comp: tuple) -> list[tuple]:
+        return [_level_sums(users, gw, rest) for _, gw, rest in _groups(comp, weights, zero)]
+
+    whole = scale**users * _binomial_lcm(users) if scale else None
+    return levels, zero, whole
+
+
+def _alpha_key(comp: tuple, levels: list, ts: tuple, zero) -> tuple[int, Number]:
+    """The grouping baseline's point for groups `comp` at levels `ts` as
+    ``(K * M, rate sum)``, the rate sum the sum of the groups'
+    :func:`_level_sums` from `zero`."""
+    x = sum(t * s for t, s in zip(ts, comp))
+    return x, sum((rates[t] for rates, t in zip(levels, ts)), zero)
+
+
+def _alpha_point(users: int, whole: int | None, comp: tuple, ts: tuple, key: tuple) -> RatePoint:
+    """The :class:`RatePoint` of an :func:`_alpha_key`: M and an exact rate
+    become one ``Fraction`` each here, over K and over `whole`."""
+    x, y = key
+    rate = y if whole is None else Fraction(y, whole)
+    return RatePoint(Fraction(x, users), rate, label=f"alpha groups={comp} t={ts}", params=ts)
 
 
 def alpha_points(users: int, popularity: Sequence) -> tuple[RatePoint, ...]:
@@ -622,15 +755,15 @@ def alpha_points(users: int, popularity: Sequence) -> tuple[RatePoint, ...]:
     envelope of these points without listing them."""
     _require_int("user count", users, 1)
     pop = _normalize_popularity(popularity)
-    zero = _zero(pop)
+    levels_of, zero, whole = _alpha_levels(users, pop)
     out = []
     for comp in _compositions(len(pop)):
         count = (users + 1) ** len(comp)
         if len(out) + count > _MAX_POINTS:
             raise LimitExceededError(f"grouping sweep exceeds {_MAX_POINTS} points")
-        levels = [_level_rates(users, gp, rest) for _, gp, rest in _groups(comp, pop)]
+        levels = levels_of(comp)
         for ts in itertools.product(range(users + 1), repeat=len(comp)):
-            out.append(_alpha_point(users, comp, levels, ts, zero))
+            out.append(_alpha_point(users, whole, comp, ts, _alpha_key(comp, levels, ts, zero)))
     return tuple(out)
 
 
@@ -638,9 +771,11 @@ def _hull_steps(size: int, rates: Sequence) -> list[tuple[Number, int]]:
     """The edges of one group's lower hull over the points
     ``(t * size, rates[t])``, ``t = 0..K``, in hull order, each as its slope
     and the level it ends at.  Collinear levels stay on the hull: a level
-    leaves it only at a strict turn."""
+    leaves it only at a strict turn.  Integer rates give exact ``Fraction``
+    slopes, float rates float slopes."""
     hull = _lower_hull([(t * size, y) for t, y in enumerate(rates)], collinear=True)
-    return [((y1 - y0) / (x1 - x0), x1 // size) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
+    slope = operator.truediv if isinstance(rates[0], float) else Fraction
+    return [(slope(y1 - y0, x1 - x0), x1 // size) for (x0, y0), (x1, y1) in zip(hull, hull[1:])]
 
 
 def alpha_envelope(users: int, popularity: Sequence) -> Envelope:
@@ -656,6 +791,14 @@ def alpha_envelope(users: int, popularity: Sequence) -> Envelope:
     visits is a candidate, rated as :func:`alpha_points` rates it.  The
     vertices equal those of ``lower_envelope(alpha_points(...))``; the
     returned ``points`` and ``labels`` are the candidates and their labels.
+
+    An exact popularity is rated on the integers: every group's level
+    rates are integers over one common denominator ``L**K * lcm_t C(K, t)``
+    (:func:`_alpha_levels`), so the groups' hulls, the candidates' rate
+    sums and the envelope's hull and labels (:func:`_exact_envelope`) take
+    no gcd; only the hull slopes, which order the walk, are ``Fraction``s,
+    and each candidate's M and rate become one ``Fraction`` each at the
+    end.  A float popularity runs the same walk on the float rates.
     Raises :class:`LimitExceededError`, before any grouping is rated, when
     the candidate bound exceeds the limit of :func:`alpha_points`."""
     _require_int("user count", users, 1)
@@ -667,20 +810,23 @@ def alpha_envelope(users: int, popularity: Sequence) -> Envelope:
         raise LimitExceededError(
             f"grouping sweep needs up to {bound} points, more than {_MAX_POINTS}"
         )
-    zero = _zero(pop)
-    out = []
+    levels_of, zero, whole = _alpha_levels(users, pop)
+    candidates = []
     for comp in _compositions(n):
-        levels = [_level_rates(users, gp, rest) for _, gp, rest in _groups(comp, pop)]
+        levels = levels_of(comp)
         edges = [
             [(slope, g, t) for slope, t in _hull_steps(size, rates)]
             for g, (size, rates) in enumerate(zip(comp, levels))
         ]
         ts = [0] * len(comp)
-        out.append(_alpha_point(users, comp, levels, tuple(ts), zero))
+        candidates.append((comp, tuple(ts), _alpha_key(comp, levels, ts, zero)))
         for _, g, t in heapq.merge(*edges, key=lambda edge: edge[0]):
             ts[g] = t
-            out.append(_alpha_point(users, comp, levels, tuple(ts), zero))
-    return lower_envelope(out)
+            candidates.append((comp, tuple(ts), _alpha_key(comp, levels, ts, zero)))
+    points = tuple(_alpha_point(users, whole, *candidate) for candidate in candidates)
+    if whole is None:
+        return lower_envelope(points)
+    return _exact_envelope(points, [key for _, _, key in candidates])
 
 
 # ---------------------------------------------------------------------------
@@ -736,6 +882,11 @@ def compare_strategies(p_grid: Sequence | None = None) -> StrategyComparison:
     setup: sampled curves, the two crossover probabilities and the point of
     largest relative gain, all in closed form.
 
+    Each grid entry is read once, as :func:`rate_alpha_closed` reads it: a
+    string, int or Fraction exactly, a finite float as it is.  That value
+    is the curves' abscissa and is what both closed forms are taken at, so
+    ``"9/10"`` and ``"0.95"`` are ordered as numbers.
+
     The alpha branches meet at the real root p* of ``2p**3 - p**2 + p - 1``;
     ``p = x + 1/6`` gives ``x**3 + (5/12) x - 23/54``, solved by Cardano's
     formula.  The beta branches meet where ``p**3 = 1/2``.  The gain
@@ -743,11 +894,11 @@ def compare_strategies(p_grid: Sequence | None = None) -> StrategyComparison:
     ``_shared_chains / _one_group``, which falls; up to ``2**(-1/3)`` it is
     ``(1 + 1 / (1 - p**3)) / 3``, which rises; beyond, it is 1.
     """
-    grid = tuple(p_grid) if p_grid is not None else default_p_grid()
+    grid = [_as_p(p) for p in (p_grid if p_grid is not None else default_p_grid())]
     if not grid:
         raise ValidationError("the probability grid cannot be empty")
-    alpha = RateCurve("R_alpha", "p", tuple((p, rate_alpha_closed(p)) for p in grid))
-    beta = RateCurve("R_beta", "p", tuple((p, rate_beta_closed(p)) for p in grid))
+    alpha = RateCurve("R_alpha", "p", tuple((p, _alpha_at(p)) for p in grid))
+    beta = RateCurve("R_beta", "p", tuple((p, _beta_at(p)) for p in grid))
 
     h = 23 / 108  # cube roots as ** (1 / 3): math.cbrt needs Python 3.11
     s = math.sqrt(h**2 + (5 / 36) ** 3)

@@ -557,6 +557,18 @@ def test_rates_alpha_sweep_matches_golden_digest(tmp_path, popularity):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == ALPHA_SWEEP_GOLDEN[popularity]
 
 
+# sha256 of the `rates <toy> --p-grid 0.5:1:0.0005 --csv` output, taken
+# while each closed form parsed every grid point on its own; its bits are the
+# same on Python 3.10 to 3.13.
+P_GRID_GOLDEN = "aab4de39298e5debae5604674905f12a7ab6c94df879afd6896989333c706912"
+
+
+def test_rates_p_grid_matches_golden_digest(toy_path, tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(["rates", str(toy_path), "--p-grid", "0.5:1:0.0005", "--csv", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == P_GRID_GOLDEN
+
+
 @pytest.mark.parametrize("budget, code", [(0, 4)])
 def test_rates_beta_sweep_message_budget_exit_codes(toy_path, capsys, monkeypatch, budget, code):
     # a search budget of no messages is a resource limit

@@ -229,6 +229,47 @@ def test_a_number_with_a_huge_exponent_is_rejected_before_it_is_built():
     assert _parse_number("1e4300", "popularity entry") == 10**4300
 
 
+class _Half(float):
+    """A float subclass: read as a float, kept as it is."""
+
+
+@pytest.mark.parametrize(
+    "value, want",
+    [
+        (0.25, 0.25),
+        (-0.0, -0.0),
+        (_Half(0.5), 0.5),
+        (3, Fraction(3)),
+        (Fraction(2, 7), Fraction(2, 7)),
+        ("0.75", Fraction(3, 4)),
+        ("153/200", Fraction(153, 200)),
+        (" 1e-3 ", Fraction(1, 1000)),
+        (True, None),
+        (False, None),
+        (float("nan"), None),
+        (float("inf"), None),
+        (-float("inf"), None),
+        ("nan", None),
+        ("abc", None),
+        ("1/0", None),
+        (None, None),
+        (1j, None),
+    ],
+    ids=repr,
+)
+def test_parse_number_reads_each_kind_of_input(value, want):
+    # floats are tested first; every other kind keeps its reading
+    if want is None:
+        with pytest.raises(ValidationError, match="is not a number"):
+            _parse_number(value, "entry")
+        return
+    got = _parse_number(value, "entry")
+    assert got == want
+    assert type(got) is (type(value) if isinstance(value, float) else Fraction)
+    if isinstance(value, float):
+        assert got is value
+
+
 def test_popularity_length_must_match_files():
     with pytest.raises(ValidationError):
         make_config(3, [1, 1], [2, 1], [Fraction(1)])

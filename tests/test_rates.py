@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -927,6 +928,52 @@ def test_alpha_envelope_limit_rates_no_grouping(monkeypatch):
         alpha_envelope(3, [Fraction(1, 16)] * 16)
 
 
+def test_alpha_envelope_limit_sums_no_group(monkeypatch):
+    # the same limit, with the integer kernel that rates each group
+    def rated(*args):
+        raise AssertionError("a group was rated")
+
+    monkeypatch.setattr(rates, "_level_sums", rated)
+    with pytest.raises(LimitExceededError, match="points"):
+        alpha_envelope(3, [Fraction(1, 16)] * 16)
+
+
+def test_exact_level_sums_are_integers_over_one_common_denominator():
+    # each group's level rates, as integers over L**K * lcm_t C(K, t), with
+    # L the lcm of the whole popularity's denominators, are the Fractions
+    # of _level_rates, whose own denominator is the group's
+    users = 5
+    pop = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 4))
+    weights, scale = rates._on_one_denominator(pop)
+    assert (weights, scale) == ((4, 3, 2, 3), 12)
+    whole = scale**users * math.lcm(*(math.comb(users, t) for t in range(users + 1)))
+    for comp in _compositions(len(pop)):
+        groups = zip(rates._groups(comp, weights, 0), rates._groups(comp, pop, Fraction(0)))
+        for (_, gw, rest_w), (_, gp, rest) in groups:
+            sums = rates._level_sums(users, gw, rest_w)
+            assert all(type(s) is int for s in sums)
+            assert tuple(Fraction(s, whole) for s in sums) == rates._level_rates(users, gp, rest)
+
+
+# sha256 over the vertices of alpha_envelope(4, [0.4, 0.3, 0.2, 0.1]), one
+# line "<M as n/d> <rate.hex()>" per vertex, taken from the Fraction
+# implementation of the envelope.  From Python 3.12 on the builtin sum
+# compensates float sums, so the last bits of the rates differ between the
+# two; each Python is held to its own digest.
+FLOAT_ALPHA_VERTICES_GOLDEN = {
+    False: "15c32e9858e886c291e0c598c18050bb8de859e486323251f00f0c4942cde66b",
+    True: "6146c3f11e2a32c90e628b40f4f0b81f2faf343d70ddbf5e80c6118c21c66eb7",
+}
+
+
+def test_float_alpha_envelope_vertices_match_golden_digest():
+    env = alpha_envelope(4, [0.4, 0.3, 0.2, 0.1])
+    assert len(env.vertices) == 7
+    text = "\n".join(f"{m.numerator}/{m.denominator} {r.hex()}" for m, r in env.vertices)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == FLOAT_ALPHA_VERTICES_GOLDEN[sys.version_info >= (3, 12)]
+
+
 # ---------------------------------------------------------------------------
 # strategy comparison
 # ---------------------------------------------------------------------------
@@ -1019,6 +1066,34 @@ def test_import_does_not_load_scipy(module):
 # ---------------------------------------------------------------------------
 # curve output
 # ---------------------------------------------------------------------------
+
+
+def test_compare_strategies_orders_string_grid_entries_as_numbers():
+    # as strings, "9/10" > "0.95"; as numbers they increase
+    cmp = compare_strategies(["9/10", "0.95"])
+    assert cmp.alpha.xs == cmp.beta.xs == (Fraction(9, 10), Fraction(19, 20))
+    assert cmp.alpha.ys == (rate_alpha_closed("9/10"), rate_alpha_closed("0.95"))
+    assert cmp.beta.ys == (rate_beta_closed("9/10"), rate_beta_closed("0.95"))
+
+
+def test_compare_strategies_keeps_each_grid_entry_as_it_reads_it():
+    cmp = compare_strategies([Fraction(1, 2), "0.75", 0.875, 1])
+    assert cmp.alpha.xs == (Fraction(1, 2), Fraction(3, 4), 0.875, Fraction(1))
+    assert [type(x) for x in cmp.alpha.xs] == [Fraction, Fraction, float, Fraction]
+    assert [type(y) for y in cmp.alpha.ys] == [Fraction, Fraction, float, Fraction]
+    with pytest.raises(ValidationError, match="probability of the popular file"):
+        compare_strategies([0.75, "2/5"])
+
+
+def test_write_curves_csv_of_a_string_grid(tmp_path):
+    cmp = compare_strategies(["1/2", "3/4"])
+    out = tmp_path / "curves.csv"
+    write_curves_csv(out, [cmp.alpha, cmp.beta])
+    assert out.read_text().splitlines() == [
+        "p,R_alpha,R_beta",
+        "0.5,0.625,0.625",
+        "0.75,0.578125,0.526041666667",
+    ]
 
 
 def test_curve_requires_increasing_abscissa():
