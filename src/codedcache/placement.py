@@ -12,7 +12,10 @@ single-group scheme (the one-level special case of ``beta``), so groups
 have their own sub-packetizations and no cross-group structure.
 
 All sizes are exact rationals; floats only enter through popularity
-values supplied as floats.
+values supplied as floats.  A popularity is exact or float as a whole
+(:func:`_normalize_popularity`): entries given as strings, ints or
+``Fraction``s are read exactly, a float entry is kept as a float, and one
+float entry makes every entry a float.
 """
 
 from __future__ import annotations
@@ -78,6 +81,12 @@ def _parse_number(value, name: str) -> Number:
 
 
 def _normalize_popularity(values: Sequence[Number | int | str]) -> tuple[Number, ...]:
+    """The popularity `values` as one kind of number, checked: every entry
+    a ``Fraction`` when each is a string, int or ``Fraction`` (read by
+    :func:`_parse_number`), else every entry ``float(p)``, since one float
+    entry makes the whole popularity float.  This is the one place that
+    decides; everything downstream reads the tuple as it is.  An exact
+    popularity must sum to 1, a float one to within ``_POPULARITY_TOL``."""
     out = [_parse_number(v, "popularity entry") for v in values]
     # checked before the sum, so that no huge entry is converted or printed
     if any(not 0 <= p <= 1 for p in out):
@@ -88,10 +97,11 @@ def _normalize_popularity(values: Sequence[Number | int | str]) -> tuple[Number,
             # a long denominator, as from "1e-4300", has more digits than str() converts
             got = f", got {total}" if total.denominator.bit_length() <= 64 else ""
             raise ValidationError(f"popularity must sum to 1{got}")
-    else:
-        total = math.fsum(float(p) for p in out)
-        if abs(total - 1.0) > _POPULARITY_TOL:
-            raise ValidationError(f"popularity must sum to 1 within {_POPULARITY_TOL}, got {total}")
+        return tuple(out)
+    out = [float(p) for p in out]
+    total = math.fsum(out)
+    if abs(total - 1.0) > _POPULARITY_TOL:
+        raise ValidationError(f"popularity must sum to 1 within {_POPULARITY_TOL}, got {total}")
     return tuple(out)
 
 

@@ -17,20 +17,26 @@ one fully cached file that stands for every file outside the group.  The
 baseline's memory-rate envelope is built from the groups' own lower
 hulls, since a grouping's points are the Minkowski sum of its groups'
 points; no sweep lists every (M, R) point.  An envelope is read at a
-cache size by bisection on its vertices.  When the popularity is given as
-exact rationals every expectation here is an exact ``Fraction``; floats
-appear only for float popularities and plotting grids.  No numerical
-solver is used: the K = 3 comparison's crossings are closed-form roots.
+cache size by bisection on its vertices.  No numerical solver is used:
+the K = 3 comparison's crossings are closed-form roots.
 
-The exact analytic path runs on integers over one common denominator.
-The popularity becomes integer weights over L, the lcm of its
-denominators; the baseline's level rates are integers over
-``L**K * lcm_t C(K, t)``, and its candidates' M are integers over K.
-Hulls, rate sums and the envelope's labels are integer operations, and
-a ``Fraction`` is made only where one is returned: once per law entry,
-level rate or candidate (M, rate) pair, and for the hull slopes that
-order the baseline's walk.  Float popularities run the same code with
-the floats themselves, so their bits do not depend on this.
+A popularity is exact or float as a whole: an entry written as a string,
+int or ``Fraction`` is read exactly, a float as it is, and one float
+entry makes every entry a float (``placement._normalize_popularity``, the
+one place that decides).  An exact popularity gives exact ``Fraction``
+expectations; floats appear only for float popularities and plotting
+grids.  Every kernel reads the normalized popularity through
+:func:`_on_one_denominator`: integer weights over L, the lcm of its
+denominators, for an exact popularity, the floats themselves otherwise.
+So the exact analytic path runs on integers: the demand law's
+coefficients are integers over ``L**K``, the baseline's level rates
+integers over ``L**K * lcm_t C(K, t)``, and its candidates' M integers
+over K.  Hulls, rate sums and the envelope's labels are integer
+operations, and a ``Fraction`` is made only where one is returned: once
+per law coefficient, level rate or candidate (M, rate) pair, and for the
+hull slopes that order the baseline's walk.  Float popularities run the
+same code with the floats themselves, so their bits do not depend on
+this.
 """
 
 from __future__ import annotations
@@ -73,18 +79,14 @@ _MAX_POINTS = 20_000
 # ---------------------------------------------------------------------------
 
 
-def _zero(popularity: Sequence[Number]) -> Number:
-    """The additive zero of expectations under `popularity`: an exact
-    ``Fraction`` when every entry is one, else a float."""
-    return Fraction(0) if all(isinstance(p, Fraction) for p in popularity) else 0.0
-
-
 def _demand_law(popularity: Sequence[Number], users: int) -> list:
     """The ``(rep, weight * P(rep))`` pairs, in multiset order, of the
     demands of `users` users over ``len(popularity)`` files that have
     nonzero probability: ``rep`` a sorted representative and ``weight`` the
-    number of request vectors that sort to it.  Exact rational popularity
-    gives exact rational coefficients.  Raises :class:`LimitExceededError`
+    number of request vectors that sort to it.  `popularity` is
+    normalized; each coefficient is built from its integer weights over L
+    (:func:`_on_one_denominator`) and made one ``Fraction`` over ``L**K``,
+    or from the floats themselves.  Raises :class:`LimitExceededError`
     when the ``C(N+K-1, K)`` multisets exceed ``ENUMERATION_LIMIT``."""
     files = len(popularity)
     count = comb(files + users - 1, users)
@@ -93,16 +95,17 @@ def _demand_law(popularity: Sequence[Number], users: int) -> list:
             f"{count} demand multisets exceed the limit {ENUMERATION_LIMIT}; "
             "use expected_rate_mc instead"
         )
-    exact = all(isinstance(p, Fraction) for p in popularity)
+    weights, scale = _on_one_denominator(popularity)
+    whole = None if scale is None else scale**users
     law = []
     for rep in itertools.combinations_with_replacement(range(1, files + 1), users):
-        weight = math.factorial(users)
-        prob = Fraction(1) if exact else 1.0
+        vectors = math.factorial(users)
+        prob = 1
         for f, c in Counter(rep).items():
-            weight //= math.factorial(c)
-            prob *= popularity[f - 1] ** c
+            vectors //= math.factorial(c)
+            prob *= weights[f - 1] ** c
         if prob:
-            law.append((rep, weight * prob))
+            law.append((rep, vectors * prob if whole is None else Fraction(vectors * prob, whole)))
     return law
 
 
@@ -143,7 +146,7 @@ def _scheduled_expectation(cfg: PlacementConfig, rate_of: Callable, memo: dict, 
     shared through `memo` (see :func:`_memo_rate`).  The terms are added in
     law order by a loop: ``sum`` compensates float sums from Python 3.12 on."""
     rate = _memo_rate(place(cfg), rate_of, memo)
-    total = _zero(cfg.popularity)
+    total = 0
     for rep, coefficient in law:
         total += coefficient * rate(rep)
     return total
@@ -487,38 +490,33 @@ def memory_share(users: int, size: int, memory) -> tuple[tuple[Fraction, int], .
 def _on_one_denominator(values: Sequence) -> tuple[tuple, int | None]:
     """Exact `values`, ints and ``Fraction``s, as integer numerators over
     one common denominator L, the lcm of their denominators, and L; any
-    other values as floats, and None.  An exact popularity becomes integer
-    weights over L."""
+    other values as they are, and None.  An exact popularity becomes
+    integer weights over L, and a float popularity stays its floats."""
     if all(isinstance(v, (int, Fraction)) for v in values):
         scale = math.lcm(*(v.denominator for v in values))
         return tuple(v.numerator * (scale // v.denominator) for v in values), scale
-    return tuple(float(v) for v in values), None
+    return tuple(values), None
 
 
-def _distinct_law(users: int, group_pop: tuple, rest) -> list:
+def _distinct_law(users: int, weights: tuple, rest) -> list:
     """Law of the number of distinct files of one group that `users`
-    i.i.d. users request: entry d is P(D = d), for d = 0..users.
+    i.i.d. users request, from the group's files' `weights` and the files
+    outside's `rest`: integer weights over their total L
+    (:func:`_on_one_denominator`) give entry d as the integer
+    ``P(D = d) * L**users``, and float popularities give P(D = d) itself,
+    for d = 0..users.
 
     A dynamic program over the group's files.  ``ways[j][d]`` weighs the
     ways for j of the users to request d distinct files among the files
     seen so far; file f takes c of the other ``users - j`` users with
     weight ``C(users - j, c) * p_f**c``, with each power taken once per
     file.  The users left over request a file outside the group, each with
-    probability `rest`.
-
-    Exact popularities are scaled to integers over one common denominator
-    L (:func:`_on_one_denominator`), so ``ways[j][d]`` is an integer over
-    ``L**j``, each law entry one integer over ``L**users``, and no gcd is
-    taken until each entry becomes a ``Fraction`` at the end.  Floats run
-    the same loop with L = 1, and so do integer weights: weights over a
-    total L give the law's integer numerators over ``L**users``.
+    weight `rest`.  On integer weights ``ways[j][d]`` is an integer over
+    ``L**j``, and no gcd is taken.
     """
-    exact = all(isinstance(p, Fraction) for p in (rest, *group_pop))
-    if exact:
-        (*group_pop, rest), scale = _on_one_denominator((*group_pop, rest))
     ways = [[0] * (users + 1) for _ in range(users + 1)]
     ways[0][0] = 1
-    for p in group_pop:
+    for p in weights:
         powers = [p**c for c in range(users + 1)]
         nxt = [row[:] for row in ways]
         for j in range(users):
@@ -535,9 +533,6 @@ def _distinct_law(users: int, group_pop: tuple, rest) -> list:
         stay = rest ** (users - j)
         for d in range(j + 1):
             law[d] += ways[j][d] * stay
-    if exact:
-        whole = scale**users
-        law = [Fraction(w, whole) for w in law]
     return law
 
 
@@ -559,8 +554,8 @@ def _level_sums(users: int, weights: tuple, rest) -> tuple:
 
     Only the counts of nonzero probability are rated, at most
     ``len(weights) + 1`` of the ``users + 1``.  ``typed=True`` keys the
-    cache on the type of `rest`, so a float group never reuses an exact
-    result.
+    cache on the type of `rest`, an int or a float however the group's
+    weights compare, so a float group never reuses an exact result.
     """
     law = [(d, w) for d, w in enumerate(_distinct_law(users, weights, rest)) if w]
     exact = isinstance(rest, int)
@@ -575,24 +570,6 @@ def _level_sums(users: int, weights: tuple, rest) -> tuple:
         else:
             sums.append(sum(w * (g / below) for w, g in gains))
     return tuple(sums)
-
-
-@lru_cache(maxsize=1024, typed=True)
-def _level_rates(users: int, group_pop: tuple, rest) -> tuple:
-    """Expected :func:`classic_rate` of one group at every cache level
-    ``t = 0..users``, over the law of its distinct requested files: the
-    group's :func:`_level_sums`, on the denominator of its own popularity,
-    made one ``Fraction`` each; float rates as they are.
-
-    `rest` is the popularity outside the group.  ``typed=True`` keys the
-    cache on its type, so a float group never reuses an exact result.
-    """
-    (*weights, rest), scale = _on_one_denominator((*group_pop, rest))
-    sums = _level_sums(users, tuple(weights), rest)
-    if scale is None:
-        return sums
-    whole = scale**users * _binomial_lcm(users)
-    return tuple(Fraction(s, whole) for s in sums)
 
 
 def _groups(sizes: Sequence[int], pop: tuple, zero):
@@ -627,7 +604,9 @@ def alpha_expected_rate(
     Without `scheduler`, ``R_g(t) = E[classic_rate(K, t, D_g)]`` over the
     exact law of D_g, the number of the group's files that are requested
     (:func:`_distinct_law`): no demand is enumerated, ``N**K`` is not
-    bounded, and each group's level rates are cached across calls.  With
+    bounded, and each group's level rates are read from the kernel of
+    :func:`alpha_envelope` (:func:`_alpha_levels`), which caches them
+    across calls, and made one ``Fraction`` per term.  With
     `scheduler` set, a scheduler or a rate function (e.g. the exhaustive
     solver or its rate, see :func:`_memo_rate`), ``R_g(t)`` is
     :func:`expected_rate_exact` of the group's own ``alpha`` config: its
@@ -649,23 +628,24 @@ def alpha_expected_rate(
     pop = _normalize_popularity(popularity)
     if sum(sizes) != len(pop):
         raise ValidationError("group sizes must cover every file exactly once")
-    total = zero = _zero(pop)
-    if not isinstance(zero, Fraction):  # one float entry makes every entry a float
-        pop = tuple(float(p) for p in pop)
+    levels_of, zero, whole = _alpha_levels(users, pop)
+    total = 0
+    if scheduler is None:
+        for share, sums in zip(shares, levels_of(sizes)):
+            for w, t in share:
+                total += w * (sums[t] if whole is None else Fraction(sums[t], whole))
+        return total
     memo: dict = {}
     for (size, group_pop, rest), share in zip(_groups(sizes, pop, zero), shares):
         law = None  # the group's demand law, shared by its levels
         for w, t in share:
-            if scheduler is None:
-                total += w * _level_rates(users, group_pop, rest)[t]
+            if rest:
+                cfg = make_config(users, [size, 1], [t, users], group_pop + (rest,), "alpha")
             else:
-                if rest:
-                    cfg = make_config(users, [size, 1], [t, users], group_pop + (rest,), "alpha")
-                else:
-                    cfg = make_config(users, [size], [t], group_pop, "alpha")
-                if law is None:
-                    law = _demand_law(cfg.popularity, users)
-                total += w * _scheduled_expectation(cfg, scheduler, memo, law)
+                cfg = make_config(users, [size], [t], group_pop, "alpha")
+            if law is None:
+                law = _demand_law(cfg.popularity, users)
+            total += w * _scheduled_expectation(cfg, scheduler, memo, law)
     return total
 
 
@@ -713,11 +693,13 @@ def _compositions(total: int):
 
 def _alpha_levels(users: int, pop: tuple) -> tuple[Callable, Number, int | None]:
     """The grouping baseline's kernel on one common denominator, for a
-    normalized popularity: a function that gives, for a grouping, every
-    group's :func:`_level_sums` over the popularity's integer weights
-    (:func:`_on_one_denominator`); the zero they add from; and the
-    denominator ``L**K * _binomial_lcm(K)`` they share, or None for a float
-    popularity, whose level sums are the float rates."""
+    normalized popularity, shared by :func:`alpha_points`,
+    :func:`alpha_envelope` and :func:`alpha_expected_rate`: a function that
+    gives, for a grouping, every group's :func:`_level_sums` over the
+    popularity's integer weights (:func:`_on_one_denominator`); the zero
+    they add from; and the denominator ``L**K * _binomial_lcm(K)`` they
+    share, or None for a float popularity, whose level sums are the float
+    rates."""
     weights, scale = _on_one_denominator(pop)
     zero = 0 if scale else 0.0
 

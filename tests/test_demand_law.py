@@ -162,17 +162,17 @@ def _distinct_law_per_d(users, group_pop, rest):
 
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_distinct_law_takes_each_power_once_with_the_same_values(exact):
+    # the kernel reads integer weights, or floats, and the oracle the same
     rng = random.Random(11)
     for users in (1, 2, 3, 7, 12, 25):
         for size in (1, 2, 3, 4):
             weights = [rng.randint(0, 9) for _ in range(size + 1)]
             weights[0] += 1
-            pop = [Fraction(w, sum(weights)) for w in weights]
             if not exact:
-                pop = [float(p) for p in pop]
-            group_pop, rest = tuple(pop[:-1]), pop[-1]
-            got = rates._distinct_law(users, group_pop, rest)
-            want = _distinct_law_per_d(users, group_pop, rest)
+                weights = [float(Fraction(w, sum(weights))) for w in weights]
+            group, rest = tuple(weights[:-1]), weights[-1]
+            got = rates._distinct_law(users, group, rest)
+            want = _distinct_law_per_d(users, group, rest)
             assert got == want, (users, weights)
             assert list(map(type, got)) == list(map(type, want))
 
@@ -188,10 +188,12 @@ def test_distinct_law_over_one_denominator_equals_the_fraction_dp():
             raw[rng.randrange(size + 1)] += Fraction(1, rng.randint(1, 12))
             pop = [w / sum(raw) for w in raw]
             group_pop, rest = tuple(pop[:-1]), pop[-1]
-            got = rates._distinct_law(users, group_pop, rest)
+            (*weights, rest_weight), scale = rates._on_one_denominator(pop)
+            got = rates._distinct_law(users, tuple(weights), rest_weight)
+            assert all(type(w) is int for w in got)
+            assert sum(got) == scale**users
+            got = [Fraction(w, scale**users) for w in got]
             assert got == _distinct_law_per_d(users, group_pop, rest), (users, pop)
-            assert all(type(w) is Fraction for w in got)
-            assert sum(got) == 1
             group_pop, rest = tuple(map(float, group_pop)), float(rest)
             got = rates._distinct_law(users, group_pop, rest)
             assert got == _distinct_law_per_d(users, group_pop, rest), (users, pop)

@@ -270,6 +270,15 @@ def test_parse_number_reads_each_kind_of_input(value, want):
         assert got is value
 
 
+def test_one_float_entry_makes_the_whole_popularity_float():
+    mixed = make_config(3, [1, 1], [2, 1], ["153/200", 0.235]).popularity
+    assert mixed == (0.765, 0.235)
+    assert [type(p) for p in mixed] == [float, float]
+    exact = make_config(3, [1, 1], [2, 1], ["153/200", Fraction(47, 200)]).popularity
+    assert exact == (Fraction(153, 200), Fraction(47, 200))
+    assert [type(p) for p in exact] == [Fraction, Fraction]
+
+
 def test_popularity_length_must_match_files():
     with pytest.raises(ValidationError):
         make_config(3, [1, 1], [2, 1], [Fraction(1)])

@@ -26,9 +26,11 @@ from codedcache import (
     alpha_expected_rate,
     alpha_points,
     beta_points,
+    chain_bound,
     classic_rate,
     compare_strategies,
     default_p_grid,
+    exhaustive_rate,
     exhaustive_schedule,
     expected_rate_exact,
     expected_rate_mc,
@@ -619,23 +621,31 @@ def test_alpha_expectation_float_popularity(case):
 @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
 def test_level_rates_equal_the_sum_over_every_distinct_count(exact):
     # the kernel skips the distinct-file counts of probability 0; the full
-    # sum over d = 0..K gives the same values, of the same types
+    # sum over d = 0..K gives the same values: integers over
+    # L**K * lcm_t C(K, t) for integer weights over L, floats for floats
     rng = random.Random(5)
     for users in (1, 2, 5, 13, 30):
+        unit = math.lcm(*(math.comb(users, t) for t in range(users + 1)))
         for size in (1, 2, 3):
             for weights in ([rng.randint(1, 9) for _ in range(size + 1)], [1] * size + [0]):
-                pop = [Fraction(w, sum(weights)) for w in weights]
+                total = sum(weights)
                 if not exact:
-                    pop = [float(p) for p in pop]
-                group_pop, rest = tuple(pop[:-1]), pop[-1]
-                law = rates._distinct_law(users, group_pop, rest)
+                    weights = [float(Fraction(w, total)) for w in weights]
+                group, rest = tuple(weights[:-1]), weights[-1]
+                law = rates._distinct_law(users, group, rest)
                 full = tuple(
                     sum(law[d] * classic_rate(users, t, d) for d in range(users + 1))
                     for t in range(users + 1)
                 )
-                got = rates._level_rates(users, group_pop, rest)
-                assert got == full
-                assert list(map(type, got)) == list(map(type, full))
+                got = rates._level_sums(users, group, rest)
+                if exact:
+                    assert all(type(s) is int for s in got)
+                    assert tuple(Fraction(s, total**users * unit) for s in got) == tuple(
+                        f / total**users for f in full
+                    )
+                else:
+                    assert got == full
+                    assert all(type(s) is float for s in got)
 
 
 def test_alpha_closed_kernel_has_no_demand_limit(monkeypatch):
@@ -723,7 +733,7 @@ def _plain_expectation(cfg, scheduler):
     """expected_rate_exact with nothing reused: every demand multiset is
     handed to `scheduler`."""
     cache = place_beta(cfg)
-    total = rates._zero(cfg.popularity)
+    total = 0
     for rep, coefficient in rates._demand_law(cfg.popularity, cfg.users):
         total += coefficient * scheduler(cache, rep).rate
     return total
@@ -918,18 +928,9 @@ def test_alpha_envelope_beyond_the_point_limit(monkeypatch):
     assert len(got.points) <= 2**4 + 6 * 6 * 2**3
 
 
-def test_alpha_envelope_limit_rates_no_grouping(monkeypatch):
-    # 16 files at K = 3: 2**15 + 3 * 17 * 2**14 candidates at most
-    def rated(*args):
-        raise AssertionError("a grouping was rated")
-
-    monkeypatch.setattr(rates, "_level_rates", rated)
-    with pytest.raises(LimitExceededError, match="points"):
-        alpha_envelope(3, [Fraction(1, 16)] * 16)
-
-
 def test_alpha_envelope_limit_sums_no_group(monkeypatch):
-    # the same limit, with the integer kernel that rates each group
+    # 16 files at K = 3: 2**15 + 3 * 17 * 2**14 candidates at most, and the
+    # limit raises before the kernel rates any group
     def rated(*args):
         raise AssertionError("a group was rated")
 
@@ -940,19 +941,79 @@ def test_alpha_envelope_limit_sums_no_group(monkeypatch):
 
 def test_exact_level_sums_are_integers_over_one_common_denominator():
     # each group's level rates, as integers over L**K * lcm_t C(K, t), with
-    # L the lcm of the whole popularity's denominators, are the Fractions
-    # of _level_rates, whose own denominator is the group's
+    # L the lcm of the whole popularity's denominators, are the rates
+    # alpha_expected_rate gives for that group at level t, every other
+    # group at level K (rate 0), and the expected classic_rate over the
+    # group's law on its own denominator
     users = 5
     pop = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 6), Fraction(1, 4))
     weights, scale = rates._on_one_denominator(pop)
     assert (weights, scale) == ((4, 3, 2, 3), 12)
     whole = scale**users * math.lcm(*(math.comb(users, t) for t in range(users + 1)))
     for comp in _compositions(len(pop)):
-        groups = zip(rates._groups(comp, weights, 0), rates._groups(comp, pop, Fraction(0)))
-        for (_, gw, rest_w), (_, gp, rest) in groups:
+        groups = zip(rates._groups(comp, weights, 0), rates._groups(comp, pop, 0))
+        for g, ((_, gw, rest_w), (_, gp, rest)) in enumerate(groups):
             sums = rates._level_sums(users, gw, rest_w)
             assert all(type(s) is int for s in sums)
-            assert tuple(Fraction(s, whole) for s in sums) == rates._level_rates(users, gp, rest)
+            (*own, own_rest), own_scale = rates._on_one_denominator((*gp, rest))
+            law = rates._distinct_law(users, tuple(own), own_rest)
+            for t, s in enumerate(sums):
+                levels = [t if h == g else users for h in range(len(comp))]
+                memories = [Fraction(size * r, users) for size, r in zip(comp, levels)]
+                assert Fraction(s, whole) == alpha_expected_rate(users, comp, memories, pop)
+                want = sum(w * classic_rate(users, t, d) for d, w in enumerate(law))
+                assert Fraction(s, whole) == want / own_scale**users
+
+
+@pytest.mark.parametrize(
+    "users, rate_of",
+    [(4, chain_bound), (3, exhaustive_rate)],
+    ids=["chain_bound", "exhaustive"],
+)
+def test_mixed_popularity_beta_points_have_the_float_bits(users, rate_of):
+    # one float entry makes the popularity float: the Fraction entry is
+    # rounded before any power is taken, not after
+    mixed = beta_points(users, [1, 1], [0.3, Fraction(7, 10)], rate_of)
+    floats = beta_points(users, [1, 1], [0.3, 0.7], rate_of)
+    assert [(pt.m, pt.label) for pt in mixed] == [(pt.m, pt.label) for pt in floats]
+    assert [_bits(pt.rate) for pt in mixed] == [_bits(pt.rate) for pt in floats]
+
+
+@pytest.mark.parametrize("rate_of", [chain_bound, exhaustive_rate], ids=["chain", "exhaustive"])
+def test_mixed_popularity_expected_rate_has_the_float_bits(rate_of):
+    mixed = make_config(3, [1, 1], [2, 1], [0.3, Fraction(7, 10)])
+    floats = make_config(3, [1, 1], [2, 1], [0.3, 0.7])
+    got = expected_rate_exact(mixed, rate_of)
+    assert _bits(got) == _bits(expected_rate_exact(floats, rate_of))
+
+
+def test_mixed_popularity_alpha_has_the_float_bits():
+    mixed = ["2/5", 0.3, Fraction(1, 5), 0.1]
+    floats = [0.4, 0.3, 0.2, 0.1]
+    for sizes, memories in (([2, 2], [1, Fraction(1, 2)]), ([1, 3], [Fraction(2, 3), 1])):
+        for scheduler in (None, exhaustive_rate):
+            got = alpha_expected_rate(3, sizes, memories, mixed, scheduler)
+            want = alpha_expected_rate(3, sizes, memories, floats, scheduler)
+            assert _bits(got) == _bits(want), (sizes, scheduler)
+    got, want = alpha_envelope(4, mixed), alpha_envelope(4, floats)
+    assert [m for m, _ in got.vertices] == [m for m, _ in want.vertices]
+    assert [_bits(r) for _, r in got.vertices] == [_bits(r) for _, r in want.vertices]
+    assert got.labels == want.labels
+
+
+def test_exact_and_float_groups_never_share_a_level_sums_entry():
+    # [1] and [1.0] give equal group weights and an equal rest, 0 == 0.0,
+    # and so do [1, 0] and [1.0, 0.0]: only the type of the rest keeps
+    # their kernel cache entries apart, whichever is rated first
+    pairs = [(([1], Fraction), ([1.0], float)), (([1, 0], Fraction), ([1.0, 0.0], float))]
+    for first in (0, 1):
+        rates._level_sums.cache_clear()
+        for pair in pairs:
+            for pop, kind in (pair[first], pair[1 - first]):
+                envelope = alpha_envelope(3, pop)
+                assert {type(r) for _, r in envelope.vertices} == {kind}, (pop, first)
+                rate = alpha_expected_rate(3, [1] * len(pop), [Fraction(1, 2)] * len(pop), pop)
+                assert type(rate) is kind, (pop, first)
 
 
 # sha256 over the vertices of alpha_envelope(4, [0.4, 0.3, 0.2, 0.1]), one
