@@ -643,6 +643,54 @@ def test_rates_large_k_sweep_matches_golden_digest(tmp_path, setup):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == LARGE_K_SWEEP_GOLDEN[setup]
 
 
+# The printed `rates --m-sweep` rows for float popularities of two files
+# in singleton groups, whose envelopes take the float hull and labels of
+# lower_envelope.
+FLOAT_SWEEP_GOLDEN = {
+    (3, (0.765, 0.235), "alpha,beta,bound"): [
+        "M,R_alpha,R_beta,R_bound",
+        "0,1.539325,1.539325,1.539325",
+        "0.666666666667,0.846441666667,0.846441666667,0.846441666667",
+        "1,0.552302875,0.517434291667,0.517434291667",
+        "1.33333333333,0.333333333333,0.333333333333,0.333333333333",
+        "2,0,0,0",
+    ],
+    (4, (0.765, 0.235), "alpha,bound"): [
+        "M,R_alpha,R_bound",
+        "0,1.65446189875,1.65446189875",
+        "0.5,1.07723094938,1.07723094937",
+        "0.75,0.84315396625,0.827993399531",
+        "1,0.609076983125,0.578755849687",
+        "1.5,0.25,0.25",
+        "2,0,0",
+    ],
+    (6, (0.9, 0.1), "alpha,bound"): [
+        "M,R_alpha,R_bound",
+        "0,1.468558,1.468558",
+        "0.166666666667,1.3018915,1.3018915",
+        "0.333333333333,1.135225,1.135225",
+        "1,0.468559,0.468559",
+        "1.33333333333,0.312372666667,0.312372666667",
+        "2,0,0",
+    ],
+}
+
+
+@pytest.mark.parametrize("setup", FLOAT_SWEEP_GOLDEN, ids=lambda s: f"K{s[0]}-{s[1][0]}")
+def test_rates_float_sweep_matches_golden_rows(tmp_path, capsys, setup):
+    users, popularity, strategies = setup
+    cfg = {
+        "K": users,
+        "strategy": "beta",
+        "groups": [{"size": 1, "r": 1}, {"size": 1, "r": 1}],
+        "popularity": list(popularity),
+    }
+    path = tmp_path / "float.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["rates", str(path), "--m-sweep", "--strategies", strategies]) == 0
+    assert capsys.readouterr().out.splitlines() == FLOAT_SWEEP_GOLDEN[setup]
+
+
 def test_rates_alpha_sweep_beyond_the_demand_limit(tmp_path):
     # 3**13 request vectors exceed the enumeration limit; the grouping
     # baseline's expectation enumerates none of them
