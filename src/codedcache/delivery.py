@@ -22,13 +22,18 @@ per process, ``(K, r)`` and file, and picked out by the holder masks.
 A pair is a tuple of ints and a tuple, so sets and dicts of pairs hash
 and compare them in C.
 
-Three schedule producers are provided:
+Four schedule producers are provided:
 
 * :func:`toy_schedule` - the hand-designed optimal schedule for the
   3-user / 2-file reference setup with chains (2, 1), extended to
   permuted demands by relabeling users.
 * :func:`greedy_schedule` - a deterministic heuristic; always sound,
   no optimality claim.
+* :func:`leader_schedule` - the per-level leader scheme of Yu,
+  Maddah-Ali and Avestimehr: each level of cached files is served alone,
+  at ``sum_t classic_rate(K, t, D_t)``.  It needs every requested file
+  cached at one level, as both placements cache it, and is not one of
+  :data:`SCHEDULERS`.
 * :func:`exhaustive_schedule` - minimum-message search over clique-style
   candidate messages, used as the certification oracle at desk scale.
   Its bound per user is the needed-piece count less the pivots that land
@@ -37,9 +42,11 @@ Three schedule producers are provided:
   branch is cut once some user lacks more than the candidates left that
   reach it.
 
-:func:`exhaustive_rate` is the exhaustive schedule's rate alone: where
-greedy's clique pass already meets the piece-count chain bound with
-pieces of one size, that pass's rate is the search's, and no search runs.
+:func:`exhaustive_rate` is the exhaustive schedule's rate alone.  Where
+the leader scheme's message count, taken on the integers from the
+requested rows, or else greedy's clique pass meets the piece-count chain
+bound with pieces of one size, that rate is the search's, and no search
+runs.
 
 :func:`chain_bound` is the lower bound on any delivery's rate: the best
 sum, over users with distinct files taken in order, of the share of each
@@ -738,22 +745,123 @@ def _regular_pass(table: _PieceTable, dem: Mapping[int, int]) -> list[tuple[int,
         classes: dict[int, list[int]] = {}
         for c in columns:
             classes.setdefault(holders[c], []).append(c)
-        # regular: every t-subset of the users holds the same number of pieces
-        shapes = {(mask.bit_count(), len(v)) for mask, v in classes.items()}
-        t, slice_count = min(shapes)
-        if len(shapes) == 1 and len(classes) == comb(users, t):
+        t = _cache_level({mask: len(v) for mask, v in classes.items()}, users)
+        if t is not None:
             leader = requesters[0]
             for team in itertools.combinations(range(1, users + 1), t + 1):
                 if leader not in team:
                     continue
                 bits = [1 << (k - 1) for k in team]
-                for j in range(slice_count):
+                for j in range(len(columns) // comb(users, t)):
                     # one column from each class: distinct, so none cancel
                     messages.append(tuple(sorted(classes[sum(bits) - bit][j] for bit in bits)))
         else:
             wanted = sum(1 << (k - 1) for k in requesters)
             messages.extend((c,) for c in columns if wanted & ~holders[c])
     return messages
+
+
+# ---------------------------------------------------------------------------
+# Per-level leader scheduler
+# ---------------------------------------------------------------------------
+
+# A level of the leader scheme: its files' cache level t and piece count S.
+Level = tuple[int, int]
+
+
+def _cache_level(tally: Mapping[int, int], users: int) -> int | None:
+    """The cache level of a file from its row's `tally`, each holder mask's
+    piece count: t when every mask has t bits and every t-subset of the
+    users holds the same number of pieces, as each file of either
+    placement does; None otherwise."""
+    t = next(iter(tally)).bit_count()
+    share = next(iter(tally.values()))
+    if len(tally) == comb(users, t) and all(
+        mask.bit_count() == t and n == share for mask, n in tally.items()
+    ):
+        return t
+    return None
+
+
+def _leader_levels(
+    cache: CacheState, dem: Mapping[int, int]
+) -> tuple[dict[Level, dict[int, int]], int] | None:
+    """The leader scheme of a demand, on the integers: per :data:`Level`
+    ``(t, S)``, the ``{user: file}`` requests of its files in user order,
+    and the scheme's message count, ``sum [C(K, t + 1) - C(K - D, t + 1)] *
+    S / C(K, t)`` over the levels, D the level's distinct files.  None
+    where a requested file's row is not one level (:func:`_cache_level`).
+
+    Only the requested files' rows are read.  Files of one cache level
+    with unequal piece counts, which no placement makes, are two levels:
+    pieces of unequal sizes are never XORed."""
+    users = cache.users
+    level_of: dict[int, Level] = {}
+    for f in set(dem.values()):
+        row = cache.masks[f - 1]
+        t = _cache_level(Counter(row), users)
+        if t is None:
+            return None
+        level_of[f] = (t, len(row))
+    levels: dict[Level, dict[int, int]] = {}
+    for k, f in sorted(dem.items()):
+        levels.setdefault(level_of[f], {})[k] = f
+    count = 0
+    for (t, pieces), requests in levels.items():
+        distinct = len(set(requests.values()))
+        count += (comb(users, t + 1) - comb(users - distinct, t + 1)) * (pieces // comb(users, t))
+    return levels, count
+
+
+def leader_schedule(cache: CacheState, demand) -> DeliverySchedule:
+    """The per-level leader scheme of Yu, Maddah-Ali and Avestimehr (arXiv
+    1609.07817), at rate ``sum_t classic_rate(K, t, D_t)``, D_t the number
+    of distinct requested files cached at level t.
+
+    Every requested file must be cached at one level t (see
+    :func:`_cache_level`), else :class:`UnsupportedConfigError` is raised;
+    ``beta`` and ``alpha`` placements always are.  The super-piece
+    ``W_{d, B}`` is every piece of file d with holder mask B, in rank
+    order.  Per level, the leader of each of its requested files is the
+    lowest user that asks for it.  For every (t+1)-subset A of the users
+    that meets the leaders, the users k in A whose file is at that level
+    send the XOR of their ``W_{d_k, A - {k}}``, split piece by piece in
+    rank order: ``S / C(K, t)`` messages, each a clique of those users.
+    A subset that meets no leader is not sent, since its XOR is a sum of
+    sent ones by the scheme's proof, so every user decodes as it would in
+    the classic one-level scheme.  Levels are sent in ascending ``(t, S)``.
+    """
+    dem = normalize_demand(cache, demand)
+    plan = _leader_levels(cache, dem)
+    if plan is None:
+        raise UnsupportedConfigError(
+            "the leader scheme needs every requested file cached at one level: "
+            "each piece held by t users and every t-subset holding equally many"
+        )
+    table = _PieceTable(cache)
+    holders, users = table.holders, cache.users
+    bits = [1 << k for k in range(users)]
+    bodies: list[tuple[int, ...]] = []
+    for (t, _), requests in sorted(plan[0].items()):
+        first: dict[int, int] = {}  # each file's leader; requests are in user order
+        for k, f in requests.items():
+            first.setdefault(f, k)
+        leaders = sum(1 << (k - 1) for k in first.values())
+        supers: dict[tuple[int, int], list[int]] = {}
+        for f in first:
+            for c in table.columns(f):
+                supers.setdefault((f, holders[c]), []).append(c)
+        for team in itertools.combinations(bits, t + 1):
+            subset = sum(team)
+            if not subset & leaders:
+                continue
+            parts = [
+                supers[requests[bit.bit_length()], subset - bit]
+                for bit in team
+                if bit.bit_length() in requests
+            ]
+            bodies += [tuple(sorted(columns)) for columns in zip(*parts)]
+    return table.schedule(bodies)
 
 
 # ---------------------------------------------------------------------------
@@ -904,28 +1012,50 @@ def _no_schedule(dem: Mapping[int, int]) -> NoReturn:
 
 
 def exhaustive_rate(cache: CacheState, demand) -> Fraction:
-    """The rate of :func:`exhaustive_schedule`, without its search where
-    greedy's clique pass already meets the piece-count chain bound.
+    """The rate of :func:`exhaustive_schedule`, without its search where a
+    schedule of its candidates already meets the piece-count chain bound.
 
-    The clique pass's messages are certified when their count equals
-    :func:`_piece_count_bound` and that bound is at most
-    ``_MAX_MESSAGES``, when each has at most ``_MAX_SUMMANDS`` summands,
-    and when the needed pieces have one piece size; their rate is then
-    returned.  Otherwise the search runs and its rate is returned.  The
-    bound is taken first: above ``_MAX_MESSAGES`` no clique pass runs,
-    and the search is called only to raise at once.
+    The bound, :func:`_piece_count_bound`, is taken first: above
+    ``_MAX_MESSAGES`` the search is called only to raise at once.  Below
+    it, three certificates are tried in order:
 
-    The value is the search's.  Each clique-pass message is a clique of
-    the index the search starts from, so it is one of its candidates, and
-    no schedule has fewer messages than the bound.  With one piece size
-    every schedule of that many messages has one rate, which is the rate
-    the search returns when it returns.  Where the search would raise
+    1. the leader scheme (:func:`leader_schedule`), counted on the
+       integers from the level of each requested row
+       (:func:`_leader_levels`), with no schedule built;
+    2. greedy's clique pass, built on a :class:`_PieceTable`;
+    3. the search itself, whose rate is returned as it is.
+
+    The first two certify where their message count equals the bound,
+    the needed pieces have one piece size S and no message has more than
+    ``_MAX_SUMMANDS`` summands; the rate is then ``bound / S``.
+
+    The value is the search's.  Each leader or clique-pass message is a
+    clique of the index the search starts from, so it is one of its
+    candidates, and no schedule has fewer messages than the bound, the
+    depth the search starts at.  With one piece size every schedule of
+    that many messages has one rate, which is the rate the search returns
+    wherever it returns.  Where the search would raise
     :class:`BudgetExceededError`, past ``_MAX_NODES`` nodes or
     ``_CANDIDATE_CAP`` candidates, a certified rate is returned instead.
+    Only the requested files' rows are read, so the sub-problem contract
+    of ``rates._memo_rate`` holds.
     """
     dem = normalize_demand(cache, demand)
     bound = _piece_count_bound(cache, dem)
     if bound <= _MAX_MESSAGES:
+        plan = _leader_levels(cache, dem)
+        if plan is not None:
+            levels, count = plan
+            # each level below K sends messages of its S, the widest with
+            # one summand per requester, at most t + 1
+            sending = [(t, s, len(req)) for (t, s), req in levels.items() if t < cache.users]
+            sizes = {s for _, s, _ in sending}
+            if (
+                count == bound
+                and len(sizes) <= 1
+                and all(min(t + 1, n) <= _MAX_SUMMANDS for t, _, n in sending)
+            ):
+                return Fraction(bound, max(sizes, default=1))
         table = _PieceTable(cache)
         needed = table.needed(dem)
         messages = _clique_pass(table, needed)

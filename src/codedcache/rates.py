@@ -329,14 +329,20 @@ def _cross(a, b, c):
     return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
 
 
-def _lower_hull(nodes, collinear: bool) -> list:
+def _lower_hull(nodes, collinear: bool, tol=0) -> list:
     """The lower convex hull of `nodes`, given in strictly increasing x, by
     the monotone chain.  A node collinear with its neighbours stays on the
-    hull iff `collinear`; otherwise a node leaves it only at a strict turn."""
-    drops = operator.lt if collinear else operator.le
+    hull iff `collinear`; otherwise a node stays only where it lies more
+    than `tol` below the chord of its neighbours, the rule by which
+    :func:`lower_envelope` puts a float point on the curve."""
     hull: list = []
     for node in nodes:
-        while len(hull) >= 2 and drops(_cross(hull[-2], hull[-1], node), 0):
+        while len(hull) >= 2:
+            a, b = hull[-2], hull[-1]
+            # b's height below the chord from a to node, times its width
+            turn = _cross(a, b, node)
+            if turn > tol * (node[0] - a[0]) or collinear and turn == 0:
+                break
             hull.pop()
         hull.append(node)
     return hull
@@ -413,8 +419,11 @@ def lower_envelope(points: Sequence[RatePoint]) -> Envelope:
     denominators, and the hull and the labels are found on those integer
     numerators (:func:`_exact_envelope`); the vertices are the input's own
     ``(m, rate)`` pairs, and no ``Fraction`` is made.  Float or mixed input
-    takes each distinct M's level from the hull once and puts a point on
-    the curve within ``_FLOAT_TOL``."""
+    takes each distinct M's level from the hull once, and one rule serves
+    the hull and the labels: a point is on the curve within ``_FLOAT_TOL``
+    of its rate, so a hull vertex lies more than ``_FLOAT_TOL`` below the
+    chord of its neighbours, and a turn of rounding size leaves a
+    collinear point on the `boundary`."""
     pts = tuple(points)
     if not pts:
         raise ValidationError("at least one point is required")
@@ -427,7 +436,7 @@ def lower_envelope(points: Sequence[RatePoint]) -> Envelope:
         cur = best.get(pt.m)
         if cur is None or pt.rate < cur[1]:
             best[pt.m] = (pt.m, pt.rate)
-    hull = _lower_hull(sorted(best.values()), collinear=False)
+    hull = _lower_hull(sorted(best.values()), collinear=False, tol=_FLOAT_TOL)
     levels = {m: _interpolate(hull, _parse_number(m, "cache size")) for m in best}
     labels = []
     vertex_set = set(hull)
@@ -498,6 +507,12 @@ def _on_one_denominator(values: Sequence) -> tuple[tuple, int | None]:
     return tuple(values), None
 
 
+@lru_cache(maxsize=None)
+def _binomial_row(n: int) -> tuple[int, ...]:
+    """``C(n, c)`` for ``c = 0..n``, made once per process and n."""
+    return tuple(comb(n, c) for c in range(n + 1))
+
+
 def _distinct_law(users: int, weights: tuple, rest) -> list:
     """Law of the number of distinct files of one group that `users`
     i.i.d. users request, from the group's files' `weights` and the files
@@ -510,9 +525,10 @@ def _distinct_law(users: int, weights: tuple, rest) -> list:
     ways for j of the users to request d distinct files among the files
     seen so far; file f takes c of the other ``users - j`` users with
     weight ``C(users - j, c) * p_f**c``, with each power taken once per
-    file.  The users left over request a file outside the group, each with
-    weight `rest`.  On integer weights ``ways[j][d]`` is an integer over
-    ``L**j``, and no gcd is taken.
+    file and each binomial row ``C(users - j, .)`` read from
+    :func:`_binomial_row`.  The users left over request a file outside the
+    group, each with weight `rest`.  On integer weights ``ways[j][d]`` is
+    an integer over ``L**j``, and no gcd is taken.
     """
     ways = [[0] * (users + 1) for _ in range(users + 1)]
     ways[0][0] = 1
@@ -521,12 +537,13 @@ def _distinct_law(users: int, weights: tuple, rest) -> list:
         nxt = [row[:] for row in ways]
         for j in range(users):
             free = users - j
+            row = _binomial_row(free)
             for d in range(j + 1):
                 w = ways[j][d]
                 if not w:
                     continue
                 for c in range(1, free + 1):
-                    nxt[j + c][d + 1] += w * comb(free, c) * powers[c]
+                    nxt[j + c][d + 1] += w * row[c] * powers[c]
         ways = nxt
     law = [0] * (users + 1)
     for j in range(users + 1):

@@ -645,7 +645,10 @@ def test_rates_large_k_sweep_matches_golden_digest(tmp_path, setup):
 
 # The printed `rates --m-sweep` rows for float popularities of two files
 # in singleton groups, whose envelopes take the float hull and labels of
-# lower_envelope.
+# lower_envelope.  Taken before the float hull dropped a point within
+# _FLOAT_TOL of its neighbours' chord; that dropped four rows, each a
+# boundary point of the exact envelope: M = 0.75 at K = 4, and M = 1/6,
+# 1/3 and 4/3 at K = 6.
 FLOAT_SWEEP_GOLDEN = {
     (3, (0.765, 0.235), "alpha,beta,bound"): [
         "M,R_alpha,R_beta,R_bound",
@@ -659,7 +662,6 @@ FLOAT_SWEEP_GOLDEN = {
         "M,R_alpha,R_bound",
         "0,1.65446189875,1.65446189875",
         "0.5,1.07723094938,1.07723094937",
-        "0.75,0.84315396625,0.827993399531",
         "1,0.609076983125,0.578755849687",
         "1.5,0.25,0.25",
         "2,0,0",
@@ -667,10 +669,7 @@ FLOAT_SWEEP_GOLDEN = {
     (6, (0.9, 0.1), "alpha,bound"): [
         "M,R_alpha,R_bound",
         "0,1.468558,1.468558",
-        "0.166666666667,1.3018915,1.3018915",
-        "0.333333333333,1.135225,1.135225",
         "1,0.468559,0.468559",
-        "1.33333333333,0.312372666667,0.312372666667",
         "2,0,0",
     ],
 }
@@ -689,6 +688,26 @@ def test_rates_float_sweep_matches_golden_rows(tmp_path, capsys, setup):
     path.write_text(json.dumps(cfg), encoding="utf-8")
     assert main(["rates", str(path), "--m-sweep", "--strategies", strategies]) == 0
     assert capsys.readouterr().out.splitlines() == FLOAT_SWEEP_GOLDEN[setup]
+
+
+@pytest.mark.parametrize("setup", list(FLOAT_SWEEP_GOLDEN)[1:], ids=lambda s: f"K{s[0]}")
+def test_rates_float_sweep_has_the_rows_of_the_exact_sweep(tmp_path, capsys, setup):
+    # the float hull drops what the exact labels call boundary, so a float
+    # popularity prints a row at every M where its exact twin does
+    users, popularity, strategies = setup
+    rows = []
+    for pop in (list(popularity), [str(Fraction(p).limit_denominator(1000)) for p in popularity]):
+        cfg = {
+            "K": users,
+            "strategy": "beta",
+            "groups": [{"size": 1, "r": 1}, {"size": 1, "r": 1}],
+            "popularity": pop,
+        }
+        path = tmp_path / "twin.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        assert main(["rates", str(path), "--m-sweep", "--strategies", strategies]) == 0
+        rows.append([line.split(",")[0] for line in capsys.readouterr().out.splitlines()])
+    assert rows[0] == rows[1]
 
 
 def test_rates_alpha_sweep_beyond_the_demand_limit(tmp_path):

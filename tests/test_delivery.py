@@ -21,13 +21,17 @@ from codedcache import (
     DeliverySchedule,
     UnsupportedConfigError,
     ValidationError,
+    cache_from_json,
+    cache_to_json,
     chain_bound,
+    classic_rate,
     decodable,
     enumerate_indices,
     exhaustive_rate,
     exhaustive_schedule,
     greedy_schedule,
     index_rank,
+    leader_schedule,
     make_config,
     make_schedule,
     needed_map,
@@ -46,6 +50,7 @@ from codedcache import (
 from codedcache import delivery
 from codedcache.delivery import _candidate_messages, _CliqueIndex, _PieceTable, normalize_demand
 from codedcache.gf2 import GF2Basis
+from codedcache.rates import _compositions
 
 A, B = 1, 2
 
@@ -957,6 +962,145 @@ def test_exhaustive_rate_returns_the_bound_where_the_search_runs_out(monkeypatch
     with pytest.raises(BudgetExceededError, match="20000 nodes"):
         exhaustive_schedule(cache, demand)
     assert exhaustive_rate(cache, demand) == chain_bound(cache, demand) == Fraction(1, 2)
+
+
+# ---------------------------------------------------------------------------
+# per-level leader scheduler
+# ---------------------------------------------------------------------------
+
+LEADER_SIZES = [(1,), (2,), (1, 1), (1, 2), (2, 1), (1, 1, 1)]
+
+
+def _level_sum(cfg, demand):
+    """Sum over cache levels t of classic_rate(K, t, D_t), D_t the distinct
+    requested files whose group is cached at level t."""
+    distinct = {}
+    for f in set(demand):
+        distinct.setdefault(cfg.r_vector[cfg.group_of(f) - 1], set()).add(f)
+    return sum((classic_rate(cfg.users, t, len(fs)) for t, fs in distinct.items()), Fraction(0))
+
+
+def _leader_cases():
+    """Both strategies at K = 2..5, every non-increasing r for each group
+    sizes of LEADER_SIZES; every demand up to K = 4, sorted ones at K = 5."""
+    for users in range(2, 6):
+        for sizes in LEADER_SIZES:
+            files = range(1, sum(sizes) + 1)
+            for r in itertools.combinations_with_replacement(range(users, -1, -1), len(sizes)):
+                for strategy in ("beta", "alpha"):
+                    cfg = make_config(users, list(sizes), list(r), strategy=strategy)
+                    cache = place(cfg)
+                    if users <= 4:
+                        demands = itertools.product(files, repeat=users)
+                    else:
+                        demands = itertools.combinations_with_replacement(files, users)
+                    for demand in demands:
+                        yield cfg, cache, demand
+
+
+def test_leader_schedule_decodes_at_the_sum_of_its_level_rates():
+    cases = 0
+    for cfg, cache, demand in _leader_cases():
+        schedule = leader_schedule(cache, demand)
+        assert decodable(cache, schedule, demand).ok, (cfg, demand)
+        assert schedule.rate == _level_sum(cfg, demand), (cfg, demand)
+        cases += 1
+    assert cases == 18_498
+
+
+@settings(max_examples=150, deadline=None)
+@given(relabeled_demands())
+def test_leader_rate_invariant_under_user_relabeling(case):
+    cfg, demand, perm = case
+    cache = place(cfg)
+    relabeled = tuple(demand[j] for j in perm)
+    rate = leader_schedule(cache, demand).rate
+    assert leader_schedule(cache, relabeled).rate == rate == _level_sum(cfg, demand)
+
+
+def test_leader_schedule_serves_a_partial_demand():
+    # users without a request neither lead nor join a message
+    cfg = make_config(4, [1, 1], [2, 1])
+    cache = place(cfg)
+    demand = {2: 1, 4: 2}
+    schedule = leader_schedule(cache, demand)
+    assert decodable(cache, schedule, demand).ok
+    assert schedule.rate == classic_rate(4, 2, 1) + classic_rate(4, 1, 1)
+
+
+@pytest.mark.parametrize("edit", ["dropped", "moved"])
+def test_leader_schedule_raises_where_a_row_is_not_one_level(edit):
+    # dropped: a piece of file 1 loses a holder, so its masks have unequal
+    # sizes; moved: a piece of user 1 goes to user 3, who lacks it, so every
+    # mask keeps two bits but the pair subsets hold unequal counts
+    data = cache_to_json(toy_cache())
+    entries = data["users"][0]["entries"]
+    if edit == "dropped":
+        entries.pop(0)
+    else:
+        held = {(e["file"], json.dumps(e["chains"])) for e in data["users"][2]["entries"]}
+        i = next(i for i, e in enumerate(entries) if (e["file"], json.dumps(e["chains"])) not in held)
+        assert entries[i]["file"] == 1
+        data["users"][2]["entries"].append(entries.pop(i))
+    cache = cache_from_json(data)
+    row = cache.masks[0]
+    assert delivery._cache_level(Counter(row), 3) is None
+    assert len({mask.bit_count() for mask in row}) == (2 if edit == "dropped" else 1)
+    with pytest.raises(UnsupportedConfigError, match="one level"):
+        leader_schedule(cache, (1, 1, 2))
+    # the rate function passes such a row on to the clique pass and the search
+    assert exhaustive_rate(cache, (1, 1, 2)) == exhaustive_schedule(cache, (1, 1, 2)).rate
+
+
+def test_exhaustive_rate_is_the_searched_rate_over_the_four_user_groupings(monkeypatch):
+    # every grouping of 1-3 files, every replication vector and sorted
+    # demand at K = 4: where the search returns, the rate function returns
+    # its rate, whichever certificate meets the bound first; where only the
+    # rate function returns, the rate is the chain bound
+    monkeypatch.setattr(delivery, "_MAX_NODES", 5_000)
+    outcomes = Counter()
+    for files in (1, 2, 3):
+        for sizes in _compositions(files):
+            for r in itertools.combinations_with_replacement(range(4, -1, -1), len(sizes)):
+                cache = place(make_config(4, list(sizes), list(r)))
+                for demand in itertools.combinations_with_replacement(range(1, files + 1), 4):
+                    dem = normalize_demand(cache, demand)
+                    _, count = delivery._leader_levels(cache, dem)
+                    bound = delivery._piece_count_bound(cache, dem)
+                    # the certificates are tried only where the search may run
+                    leader = count == bound <= delivery._MAX_MESSAGES
+                    try:
+                        searched = exhaustive_schedule(cache, demand).rate
+                    except BudgetExceededError:
+                        searched = None
+                    try:
+                        rate = exhaustive_rate(cache, demand)
+                    except BudgetExceededError:
+                        assert searched is None and not leader, (sizes, r, demand)
+                        outcomes["both raise"] += 1
+                        continue
+                    if searched is None:
+                        # only a certificate returns where the search raises
+                        table = _PieceTable(cache)
+                        clique_pass = delivery._clique_pass(table, table.needed(dem))
+                        assert leader or len(clique_pass) == bound, (sizes, r, demand)
+                        assert rate == chain_bound(cache, demand), (sizes, r, demand)
+                    else:
+                        assert rate == searched, (sizes, r, demand)
+                    outcomes["search returns" if searched is not None else "search raises", leader] += 1
+    assert outcomes["search returns", True] > 900
+    assert outcomes["search raises", True] > 0
+    assert outcomes["search returns", False] > 0
+
+
+def test_exhaustive_rate_leaves_a_leader_wider_than_the_candidates_to_the_search():
+    # one file at level 4 of 5: the leader sends W_{1,A - {k}} for all five
+    # users k at once, at the chain bound, but the search's candidates have
+    # at most four summands, so its rate, and the rate function's, is above
+    cache = place(make_config(5, [1], [4]))
+    demand = (1, 1, 1, 1, 1)
+    assert leader_schedule(cache, demand).rate == chain_bound(cache, demand) == Fraction(1, 5)
+    assert exhaustive_rate(cache, demand) == exhaustive_schedule(cache, demand).rate == Fraction(2, 5)
 
 
 def test_exhaustive_deterministic():
