@@ -211,14 +211,13 @@ def cmd_rates(args) -> int:
             rate = exhaustive_rate if name == "beta" else chain_bound
             envelopes[name] = lower_envelope(beta_points(cfg.users, sizes, cfg.popularity, rate))
         grid = sorted({m for env in envelopes.values() for m, _ in env.vertices})
-        curves = [
-            RateCurve(
-                f"R_{name}",
-                "M",
-                tuple((m, envelopes[name].value(m)) for m in grid),
-            )
-            for name in strategies
-        ]
+        curves = []
+        for name in strategies:
+            # a vertex's rate is stored; only the other points interpolate
+            env = envelopes[name]
+            stored = dict(env.vertices)
+            points = tuple((m, stored[m] if m in stored else env.value(m)) for m in grid)
+            curves.append(RateCurve(f"R_{name}", "M", points))
 
     if args.csv:
         out = Path(args.csv)

@@ -26,8 +26,8 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain, compress, repeat
-from operator import countOf
+from itertools import chain, compress, groupby, repeat
+from operator import countOf, itemgetter
 from typing import Iterator, Mapping, Sequence
 
 from .combinatorics import (
@@ -433,10 +433,11 @@ def _cache_json_chunks(cache: CacheState) -> Iterator[str]:
 
     This generator owns the layout.  Each user record lists, per file in
     rank order, the chains of the pieces the user holds.  Every user subset
-    is rendered once, and every piece's chains once per r-vector; a user's
-    entries are picked out of those by the user's bit in the holder masks
-    when the user's chunk is due, so no text longer than one user record is
-    ever built.
+    is rendered once, and every piece's chains once per r-vector.  When a
+    user's chunk is due, the user's blocks are picked by the user's bit in
+    the holder masks, once per distinct (mask row, r-vector) pair, since the
+    files of one group share both; each file's entries are then one join
+    of its blocks, so no text longer than one user record is ever built.
     """
     blocks: dict[tuple[int, ...], list[str]] = {}
     for space in cache.spaces:
@@ -451,11 +452,19 @@ def _cache_json_chunks(cache: CacheState) -> Iterator[str]:
             blocks[space] = [
                 "".join(_list_parts([subsets[m] for m in idx.masks], 5)) for idx in pieces
             ]
-    rows = [
-        ("{" + _nl(5) + f'"file": {f},' + _nl(5) + '"chains": ', row, blocks[space])
-        for f, (space, row) in enumerate(zip(cache.spaces, cache.masks), start=1)
+    # the position of each file's (mask row, r-vector) pair among the distinct ones
+    distinct: dict[tuple, int] = {}
+    picks = [
+        distinct.setdefault((row, space), len(distinct))
+        for space, row in zip(cache.spaces, cache.masks)
     ]
     tail = _nl(4) + "}"
+    heads = [
+        "{" + _nl(5) + f'"file": {f},' + _nl(5) + '"chains": '
+        for f in range(1, cache.num_files + 1)
+    ]
+    # between two entries of one file: the first's tail, the second's head
+    glues = [tail + "," + _nl(4) + head for head in heads]
     files = [
         {"file": f, "r": list(space), "subpacketization": len(row)}
         for f, (space, row) in enumerate(zip(cache.spaces, cache.masks), start=1)
@@ -469,15 +478,15 @@ def _cache_json_chunks(cache: CacheState) -> Iterator[str]:
     sep = _nl(2)
     for k in range(1, cache.users + 1):
         bit = 1 << (k - 1)
-        entries = [
-            (head, block, tail)
-            for head, row, chains in rows
-            for mask, block in zip(row, chains)
-            if mask & bit
+        picked = [list(compress(blocks[space], [m & bit for m in row])) for row, space in distinct]
+        held = [
+            (head, glue.join(picked[i]), tail)
+            for head, glue, i in zip(heads, glues, picks)
+            if picked[i]
         ]
         yield "".join(
             [sep, "{", _nl(3), f'"user": {k},', _nl(3), '"entries": ']
-            + _list_parts(entries, 3)
+            + _list_parts(held, 3)
             + [_nl(2), "}"]
         )
         sep = "," + _nl(2)
@@ -505,13 +514,26 @@ def cache_from_json(data: Mapping) -> CacheState:
     placement, disagrees with ``K`` or with the file records, or lists a
     piece twice for one user raises :class:`ValidationError`.
 
-    An entry's chains are looked up as sorted user tuples, and the types
-    of the user ids are counted in C: chains in another order, or with a
-    user id that is not exactly an ``int``, take the slower path that
-    builds their masks and checks every user.  The lookup tables are
-    memoised per process for each ``(K, r)``.  No pair is made here, and
-    the state carries no memo: :meth:`CacheState.pairs` makes the pairs,
-    once per process, when they are asked for."""
+    A user record is read in runs of consecutive entries with equal
+    ``"file"`` values (``itertools.groupby``).  Each run is checked in C
+    pipelines: every entry has one subset per level of its file, every
+    chain is found in the file's table of sorted user tuples
+    (``map(table.get, keys)``), and one ``countOf`` finds exactly
+    ``len(run) * (1 + sum(r))`` values of type ``int`` among the run's
+    files and user ids.  The files are counted too because groupby runs by
+    equality: a ``True`` or ``1.0`` file joins a run of file 1.  A run with
+    a missing rank or a short count, such as chains in another order, an
+    ``int`` subclass or damage, is read again one entry at a time: each
+    file is checked, and each chain's masks are built by
+    :meth:`SubfileIndex.from_sets`, which checks every user.  The check for
+    a piece listed twice is made per user and file on the mask rows, so it
+    holds across runs.  The chains and their subsets are read as the lists
+    ``json.load`` makes: each must have a length and is iterated twice.
+
+    The lookup tables are memoised per process for each ``(K, r)``.  No
+    pair is made here, and the state carries no memo:
+    :meth:`CacheState.pairs` makes the pairs, once per process, when they
+    are asked for."""
     try:
         users = data["K"]
         _require_int("K", users)
@@ -519,11 +541,12 @@ def cache_from_json(data: Mapping) -> CacheState:
         if len(data["users"]) != users:
             raise ValidationError(f"{len(data['users'])} user records for K = {users}")
         tables = [_sets_table(users, space) for space in spaces]
-        # a chain of a file names sum(r) user ids in all
-        widths = [sum(space) for space in spaces]
+        # an entry of a file names the file and, in its chain, sum(r) user ids
+        widths = [1 + sum(space) for space in spaces]
         num_files = len(spaces)
         ranks = [_rank_table(users, space) for space in spaces]
         masks = [[0] * len(table) for table in ranks]
+        file_of, chains_of = itemgetter("file"), itemgetter("chains")
         for f, (record, row) in enumerate(zip(data["files"], masks), start=1):
             _require_int("file record", record["file"])
             if record["file"] != f:
@@ -539,23 +562,41 @@ def cache_from_json(data: Mapping) -> CacheState:
             if u["user"] != k:
                 raise ValidationError(f"user record {u['user']!r} in position {k}")
             bit = 1 << (k - 1)
-            for e in u["entries"]:
-                f, chains = e["file"], e["chains"]
-                if type(f) is not int or not 1 <= f <= num_files:
-                    _require_int("file", f)
-                    if not 1 <= f <= num_files:
-                        raise ValidationError(f"file {f} outside [1, {num_files}]")
-                key = tuple(map(tuple, chains))
-                rank = tables[f - 1].get(key)
-                if rank is None or countOf(map(type, chain.from_iterable(key)), int) != widths[f - 1]:
-                    idx = SubfileIndex.from_sets(chains, users)
-                    rank = ranks[f - 1].get(idx.masks)
-                    if rank is None:
-                        raise ValidationError(f"{idx.sets} is no piece of file {f}")
+            for f, run in groupby(u["entries"], file_of):
+                run = list(run)
+                found = None
+                if type(f) is int and 1 <= f <= num_files:
+                    lists = list(map(chains_of, run))
+                    levels = len(spaces[f - 1])
+                    # the run's subsets as tuples, `levels` to a chain key;
+                    # zip reuses its key tuple once the lookup drops it
+                    subsets = map(tuple, chain.from_iterable(lists))
+                    found = list(map(tables[f - 1].get, zip(*[subsets] * levels)))
+                    ids = chain(map(file_of, run), chain.from_iterable(chain.from_iterable(lists)))
+                    if (
+                        countOf(map(len, lists), levels) != len(run)
+                        or None in found
+                        or countOf(map(type, ids), int) != len(run) * widths[f - 1]
+                    ):
+                        found = None
+                if found is None:
+                    # one entry at a time, each file and user id checked
+                    found = []
+                    for e in run:
+                        f, chains = e["file"], e["chains"]
+                        _require_int("file", f)
+                        if not 1 <= f <= num_files:
+                            raise ValidationError(f"file {f} outside [1, {num_files}]")
+                        idx = SubfileIndex.from_sets(chains, users)
+                        rank = ranks[f - 1].get(idx.masks)
+                        if rank is None:
+                            raise ValidationError(f"{idx.sets} is no piece of file {f}")
+                        found.append(rank)
                 row = masks[f - 1]
-                if row[rank] & bit:
-                    raise ValidationError(f"user {k} lists a piece of file {f} twice")
-                row[rank] |= bit
+                for rank in found:
+                    if row[rank] & bit:
+                        raise ValidationError(f"user {k} lists a piece of file {f} twice")
+                    row[rank] |= bit
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"malformed cache state: {exc}") from exc
     return CacheState(users, tuple(spaces), tuple(tuple(row) for row in masks))

@@ -1065,10 +1065,16 @@ def test_exhaustive_rate_is_the_searched_rate_over_the_four_user_groupings(monke
                 cache = place(make_config(4, list(sizes), list(r)))
                 for demand in itertools.combinations_with_replacement(range(1, files + 1), 4):
                     dem = normalize_demand(cache, demand)
-                    _, count = delivery._leader_levels(cache, dem)
+                    levels, count = delivery._leader_levels(cache, dem)
                     bound = delivery._piece_count_bound(cache, dem)
-                    # the certificates are tried only where the search may run
-                    leader = count == bound <= delivery._MAX_MESSAGES
+                    # the leader certifies at any bound: at its own count, with
+                    # one piece size and no message of more than _MAX_SUMMANDS
+                    sending = [(t, s, len(req)) for (t, s), req in levels.items() if t < 4]
+                    leader = (
+                        count == bound
+                        and len({s for _, s, _ in sending}) <= 1
+                        and all(min(t + 1, n) <= delivery._MAX_SUMMANDS for t, _, n in sending)
+                    )
                     try:
                         searched = exhaustive_schedule(cache, demand).rate
                     except BudgetExceededError:
@@ -1091,6 +1097,20 @@ def test_exhaustive_rate_is_the_searched_rate_over_the_four_user_groupings(monke
     assert outcomes["search returns", True] > 900
     assert outcomes["search raises", True] > 0
     assert outcomes["search returns", False] > 0
+
+
+def test_exhaustive_rate_takes_the_leader_above_the_message_budget():
+    # K = 4, one file per level of r = (3, 2, 1), everyone on file 3: the
+    # bound and the leader's count are both 18 messages, past the search's
+    # budget of 12, so the search raises and the leader gives the rate
+    cache = place(make_config(4, [1, 1, 1], [3, 2, 1]))
+    demand = (3, 3, 3, 3)
+    dem = normalize_demand(cache, demand)
+    assert delivery._piece_count_bound(cache, dem) == 18 > delivery._MAX_MESSAGES
+    assert leader_schedule(cache, demand).rate == Fraction(3, 4)
+    with pytest.raises(BudgetExceededError):
+        exhaustive_schedule(cache, demand)
+    assert exhaustive_rate(cache, demand) == chain_bound(cache, demand) == Fraction(3, 4)
 
 
 def test_exhaustive_rate_leaves_a_leader_wider_than_the_candidates_to_the_search():

@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from operator import countOf
 
 import pytest
 from hypothesis import example, given, settings
@@ -27,6 +28,7 @@ from codedcache import (
     subpacketization,
     toy_config,
 )
+from codedcache.combinatorics import _rank_table, _require_int, _sets_table, check_r_vector
 from codedcache.placement import _parse_number
 
 
@@ -448,6 +450,199 @@ def test_cache_json_round_trips_a_state_no_placement_makes(seed):
     text = cache_json_text(cache)
     assert text == json.dumps(json.loads(text), indent=2) + "\n"
     assert cache_from_json(json.loads(text)) == cache
+
+
+def _reference_cache_from_json(data):
+    """The reader one entry at a time: the per-entry loop that
+    ``cache_from_json`` replaces with its runs of one file, kept as the
+    reference it must agree with."""
+    try:
+        users = data["K"]
+        _require_int("K", users)
+        spaces = [check_r_vector(users, f["r"]) for f in data["files"]]
+        if len(data["users"]) != users:
+            raise ValidationError(f"{len(data['users'])} user records for K = {users}")
+        tables = [_sets_table(users, space) for space in spaces]
+        widths = [sum(space) for space in spaces]
+        num_files = len(spaces)
+        ranks = [_rank_table(users, space) for space in spaces]
+        masks = [[0] * len(table) for table in ranks]
+        for f, (record, row) in enumerate(zip(data["files"], masks), start=1):
+            _require_int("file record", record["file"])
+            if record["file"] != f:
+                raise ValidationError(f"file record {record['file']} in position {f}")
+            _require_int("subpacketization", record["subpacketization"])
+            if record["subpacketization"] != len(row):
+                raise ValidationError(
+                    f"file {f} claims subpacketization {record['subpacketization']}, "
+                    f"its r gives {len(row)}"
+                )
+        for k, u in enumerate(data["users"], start=1):
+            _require_int("user record", u["user"])
+            if u["user"] != k:
+                raise ValidationError(f"user record {u['user']!r} in position {k}")
+            bit = 1 << (k - 1)
+            for e in u["entries"]:
+                f, chains = e["file"], e["chains"]
+                if type(f) is not int or not 1 <= f <= num_files:
+                    _require_int("file", f)
+                    if not 1 <= f <= num_files:
+                        raise ValidationError(f"file {f} outside [1, {num_files}]")
+                key = tuple(map(tuple, chains))
+                rank = tables[f - 1].get(key)
+                if rank is None or countOf(map(type, itertools.chain.from_iterable(key)), int) != widths[f - 1]:
+                    idx = SubfileIndex.from_sets(chains, users)
+                    rank = ranks[f - 1].get(idx.masks)
+                    if rank is None:
+                        raise ValidationError(f"{idx.sets} is no piece of file {f}")
+                row = masks[f - 1]
+                if row[rank] & bit:
+                    raise ValidationError(f"user {k} lists a piece of file {f} twice")
+                row[rank] |= bit
+    except (KeyError, TypeError) as exc:
+        raise ValidationError(f"malformed cache state: {exc}") from exc
+    return CacheState(users, tuple(spaces), tuple(tuple(row) for row in masks))
+
+
+def _read_both(data):
+    """The reader's and the reference's outcome on `data`: the state each
+    gives, or the text of the :class:`ValidationError` each raises."""
+    outcomes = []
+    for read in (cache_from_json, _reference_cache_from_json):
+        try:
+            outcomes.append(read(data))
+        except ValidationError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+class _Int(int):
+    """An int subclass, as a caller's own id type may be."""
+
+
+def _seeded_state(seed):
+    """A K <= 6 state: a seeded placement, or random holder masks."""
+    rng = random.Random(seed)
+    users = rng.randint(2, 6)
+    if seed % 2:
+        spaces = [
+            tuple(sorted((rng.randint(0, users) for _ in range(rng.randint(1, 3))), reverse=True))
+            for _ in range(rng.randint(1, 3))
+        ]
+        full = (1 << users) - 1
+        masks = [[rng.randint(0, full) for _ in range(subpacketization(users, s))] for s in spaces]
+        return CacheState(users, spaces, masks)
+    levels = rng.randint(1, 3)
+    r = sorted((rng.randint(0, users) for _ in range(levels)), reverse=True)
+    sizes = [rng.randint(1, 2) for _ in range(levels)]
+    return place(make_config(users, sizes, r, strategy=rng.choice(["beta", "alpha"])))
+
+
+def _shuffled(data, rng):
+    for u in data["users"]:
+        rng.shuffle(u["entries"])
+
+
+def _out_of_order(data, rng):
+    for u in data["users"]:
+        for e in u["entries"]:
+            if rng.random() < 0.5:
+                e["chains"] = [subset[::-1] for subset in e["chains"]]
+
+
+def _int_subclass(data, rng):
+    for u in data["users"]:
+        for e in u["entries"]:
+            if rng.random() < 0.3:
+                e["file"] = _Int(e["file"])
+            if rng.random() < 0.3:
+                e["chains"] = [[_Int(v) for v in subset] for subset in e["chains"]]
+
+
+@pytest.mark.parametrize("seed", range(16))
+@pytest.mark.parametrize("change", [None, _shuffled, _out_of_order, _int_subclass],
+                         ids=["as-written", "shuffled", "out-of-order", "int-subclass"])
+def test_cache_from_json_agrees_with_the_per_entry_reader(seed, change):
+    cache = _seeded_state(seed)
+    data = json.loads(cache_json_text(cache))
+    if change is not None:
+        change(data, random.Random(seed))
+    got, reference = _read_both(data)
+    assert got == reference == cache
+
+
+def _long_run_entry(data):
+    """User 1's entries and the middle entry of its longest run of one file."""
+    entries = data["users"][0]["entries"]
+    runs = [list(run) for _, run in itertools.groupby(range(len(entries)), lambda i: entries[i]["file"])]
+    run = max(runs, key=len)
+    assert len(run) >= 8
+    return entries, run[len(run) // 2], run
+
+
+def _id_true(data):
+    entries, at, _ = _long_run_entry(data)
+    # every entry of user 1 names user 1 in its chain
+    entries[at]["chains"] = [[True if v == 1 else v for v in subset] for subset in entries[at]["chains"]]
+
+
+def _id_float(data):
+    entries, at, _ = _long_run_entry(data)
+    entries[at]["chains"][-1] = [float(v) for v in entries[at]["chains"][-1]]
+
+
+def _file_true(data):
+    entries, at, _ = _long_run_entry(data)
+    assert entries[at]["file"] == 1
+    entries[at]["file"] = True
+
+
+def _file_float(data):
+    entries, at, _ = _long_run_entry(data)
+    entries[at]["file"] = float(entries[at]["file"])
+
+
+def _twice_in_two_runs(data):
+    entries, at, _ = _long_run_entry(data)
+    # a copy after another file's entries starts a second run of this file
+    assert entries[-1]["file"] != entries[at]["file"]
+    entries.append(dict(entries[at]))
+
+
+def _levels_shifted(data):
+    entries, at, _ = _long_run_entry(data)
+    # the last subset of one entry moves to the front of the next: the
+    # run's subsets are the same in the same order, but neither is a chain
+    entries[at + 1]["chains"].insert(0, entries[at]["chains"].pop())
+
+
+def _chains_missing_late(data):
+    entries, _, run = _long_run_entry(data)
+    del entries[run[-2]]["chains"]
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [_id_true, _id_float, _file_true, _file_float, _twice_in_two_runs, _levels_shifted,
+     _chains_missing_late],
+    ids=["user-id-true", "user-id-float", "file-true", "file-float", "piece-twice-in-two-runs",
+         "levels-shifted", "chains-missing-late"],
+)
+def test_cache_from_json_rejects_damage_deep_in_a_run(damage):
+    # K = 5, r = (3, 2, 1): user 1 holds 36 of file 1's 60 pieces, one run
+    data = json.loads(cache_json_text(place(make_config(5, [1, 2, 1], [3, 2, 1]))))
+    damage(data)
+    got, reference = _read_both(data)
+    assert isinstance(got, str) and got == reference
+
+
+def test_cache_from_json_reads_the_k10_beta_record_shuffled_per_user():
+    cfg = make_config(10, [1, 2, 2], [5, 2, 1])
+    cache = place(cfg)
+    data = json.loads(cache_json_text(cache))
+    _shuffled(data, random.Random(10))
+    got, reference = _read_both(data)
+    assert got == reference == cache
 
 
 def test_cache_state_validates_masks():
